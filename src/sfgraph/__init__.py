@@ -42,7 +42,6 @@ from .matrix import (
     load_labels,
     normalize_features,
     pairwise_euclidean,
-    redundancy,
     save_csv,
 )
 from .omp import OmpConfig, SparseRepresentation, omp, reconstruct
@@ -77,7 +76,6 @@ __all__ = [
     "save_csv",
     "normalize_features",
     "pairwise_euclidean",
-    "redundancy",
     # solver
     "OmpConfig",
     "SparseRepresentation",

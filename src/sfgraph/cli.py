@@ -22,18 +22,18 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .evaluate import (
-    acc,
-    gaussian_similarity,
-    mcfs_select,
-    njw_cluster,
-    nmi,
-    spectral_embedding,
-)
 from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
 from .matrix import load_csv, load_labels, normalize_features, save_csv
 from .omp import OmpConfig
-from .pipeline import DEFAULT_THETAS, PipelineConfig, render_report, run_pipeline
+from .pipeline import (
+    DEFAULT_THETAS,
+    PipelineConfig,
+    cluster_scores,
+    mcfs_records,
+    render_report,
+    run_pipeline,
+    write_angles_csv,
+)
 from .sfg import angle_histogram, build_sfg, filter_failed, load_sfg, save_sfg
 from .synth import SynthSpec, generate
 
@@ -117,13 +117,7 @@ def cmd_sfg(args) -> int:
     graph = build_sfg(normalized, OmpConfig(epsilon=args.epsilon))
     if args.angles:
         hist = angle_histogram(graph, normalized, bins=args.bins)
-        with open(args.angles, "w") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for left, right, count in zip(
-                hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts
-            ):
-                fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
-            fh.write(f"{float(hist.bin_edges[-1])!r},inf,{hist.overflow}\n")
+        write_angles_csv(args.angles, hist.bin_edges, hist.counts, hist.overflow)
     filtered = filter_failed(
         graph,
         normalized,
@@ -185,17 +179,17 @@ def cmd_eval_sc(args) -> int:
     features, labels = _load_dataset(args)
     labels = _require_labels(labels)
     normalized, _ = normalize_features(features)
-    sim = gaussian_similarity(normalized, sigma=args.sigma)
-    emb = spectral_embedding(sim, args.k)
-    pred = njw_cluster(emb, args.k, seed=args.seed, restarts=args.restarts)
+    _, sigma, nmi, acc = cluster_scores(
+        normalized, labels, args.k, args.seed, args.restarts, sigma=args.sigma
+    )
     _write_json(
         {
             "n_samples": features.n_samples,
             "n_features": features.n_features,
             "k": args.k,
-            "sigma": sim.sigma,
-            "nmi": float(nmi(labels, pred)),
-            "acc": float(acc(labels, pred)),
+            "sigma": sigma,
+            "nmi": nmi,
+            "acc": acc,
         },
         args.out,
     )
@@ -206,24 +200,11 @@ def cmd_eval_mcfs(args) -> int:
     features, labels = _load_dataset(args)
     labels = _require_labels(labels)
     normalized, _ = normalize_features(features)
-    sim = gaussian_similarity(normalized)
-    emb = spectral_embedding(sim, args.k)
+    emb, _, _, _ = cluster_scores(normalized, None, args.k, args.seed, args.restarts)
     counts = args.m if args.m else list(range(10, 61, 5))
-    records = []
-    for m in counts:
-        record = {"input_features": normalized.n_features, "selected": m}
-        if m > normalized.n_features:
-            record["nmi"] = None
-            record["acc"] = None
-        else:
-            chosen = mcfs_select(normalized, emb, m)
-            picked = normalized.subset(np.sort(chosen.selected))
-            sim_m = gaussian_similarity(picked)
-            emb_m = spectral_embedding(sim_m, args.k)
-            pred = njw_cluster(emb_m, args.k, seed=args.seed, restarts=args.restarts)
-            record["nmi"] = float(nmi(labels, pred))
-            record["acc"] = float(acc(labels, pred))
-        records.append(record)
+    records = mcfs_records(
+        normalized, emb, counts, labels, args.k, args.seed, args.restarts
+    )
     _write_json({"k": args.k, "records": records}, args.out)
     return 0
 
@@ -262,7 +243,12 @@ def _read_config_file(path) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise ParameterError(f"{path}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](raw.strip())
+            except ValueError:
+                raise ParameterError(
+                    f"{path}: line {line_no}: bad value for {key!r}: {raw.strip()!r}"
+                ) from None
     return values
 
 
@@ -289,8 +275,6 @@ def cmd_pipeline(args, argv) -> int:
             "--require-labels set but no --labels/--label-column given"
         )
     features, labels = _load_dataset(args)
-    if args.require_labels and labels is None:
-        raise ParameterError("--require-labels set but no labels were loaded")
     config = PipelineConfig(
         k_clusters=args.k,
         epsilon=args.epsilon,

@@ -6,18 +6,18 @@ through peers) well expressed by the others, so the whole group compresses to
 a single representative feature with bounded loss.
 
 Group discovery keeps only edges whose normalized absolute weight reaches a
-threshold ``theta`` in (0, 1], then grows groups by breadth-first search from
-high in-degree seeds, treating edge direction as irrelevant for connectivity.
-The in-degree order only influences group *numbering*; membership is the
-connected-component structure of the thresholded graph.
+threshold ``theta`` in (0, 1]; the groups are the connected components of
+that thresholded graph with edge direction ignored.  Groups are numbered in
+the order of their best seed, where nodes rank by decreasing in-degree with
+ties to the lower index; the numbering does not affect membership.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError
 from .matrix import FeatureMatrix
@@ -64,50 +64,30 @@ class ReducedFeatureSet:
 
 
 def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
-    """Partition graph nodes into strongly connected redundancy groups.
+    """Partition graph nodes into connected redundancy groups.
 
     Edge weights are normalized by the largest absolute weight in the graph;
     an edge participates iff its normalized absolute weight is >= ``theta``.
-    Unlabeled nodes are seeded in order of decreasing in-degree (ties to the
-    lower index) and each seed's breadth-first closure over participating
-    edges, followed both ways, becomes one group.
+    The groups are the weakly connected components of the participating
+    edges.  Nodes rank by decreasing in-degree (ties to the lower index), and
+    groups are labelled 1, 2, ... in the order of their best-ranked member.
     """
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
-    d = graph.n_nodes
-    adjacency: list[set[int]] = [set() for _ in range(d)]
-    max_w = graph.max_abs_weight()
-    if max_w > 0.0:
-        coo = graph.weights.tocoo()
-        strong = np.abs(coo.data) / max_w >= theta
-        for i, j in zip(coo.row[strong], coo.col[strong]):
-            adjacency[int(i)].add(int(j))
-            adjacency[int(j)].add(int(i))
-    neighbors = [np.array(sorted(s), dtype=np.intp) for s in adjacency]
+    strong = graph.weights.copy()
+    # |w| / max_w >= theta, not |w| >= theta * max_w: the two round differently.
+    strong.data = np.abs(strong.data) / graph.max_abs_weight() >= theta
+    strong.eliminate_zeros()
+    _, component = connected_components(strong, directed=True, connection="weak")
 
-    in_deg = graph.in_degrees()
-    seed_order = sorted(range(d), key=lambda i: (-int(in_deg[i]), i))
+    seeds = np.lexsort((np.arange(graph.n_nodes), -graph.in_degrees()))
+    _, best_rank = np.unique(component[seeds], return_index=True)
+    labels = np.argsort(np.argsort(best_rank))[component] + 1
 
-    labels = np.zeros(d, dtype=np.int64)
-    groups: list[list[int]] = []
-    for seed in seed_order:
-        if labels[seed] != 0:
-            continue
-        label = len(groups) + 1
-        labels[seed] = label
-        members = [seed]
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if labels[v] == 0:
-                    labels[v] = label
-                    members.append(int(v))
-                    queue.append(int(v))
-        groups.append(sorted(members))
-
-    subgraphs = [g for g in groups if len(g) > 1]
-    singletons = sorted(g[0] for g in groups if len(g) == 1)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels)[1:])[:-1])
+    subgraphs = [g.tolist() for g in groups if g.size > 1]
+    singletons = sorted(int(g[0]) for g in groups if g.size == 1)
     return LcsPartition(labels, subgraphs, singletons, float(theta))
 
 

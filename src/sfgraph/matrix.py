@@ -22,7 +22,6 @@ __all__ = [
     "save_csv",
     "normalize_features",
     "pairwise_euclidean",
-    "redundancy",
 ]
 
 
@@ -100,12 +99,17 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
     ParseError
         Ragged rows (reported with their 1-based row number), non-numeric
         cells outside the header, or non-integer label values.
+    DataError
+        A NaN or infinite cell, reported with its row and column.
     DimensionError
         Fewer than 2 samples or fewer than 2 feature columns after label
         extraction.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
 
@@ -140,6 +144,13 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
                     f"{path}: non-numeric cell at row {line_no}, column {c}: {cell!r}"
                 )
             parsed[r, c] = v
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        r, c = (int(x) for x in bad[0])
+        raise DataError(
+            f"{path}: non-finite cell at row {first_data_line + r}, column {c}: "
+            f"{data_rows[r][c]!r}"
+        )
 
     labels = None
     if label_column is not None:
@@ -163,8 +174,10 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
                     f"label column index {label_column} out of range for {width} columns"
                 )
         raw = parsed[:, col]
-        if not np.all(raw == np.round(raw)):
-            raise ParseError(f"{path}: label column contains non-integer values")
+        if not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)):
+            raise ParseError(
+                f"{path}: label column holds values that are not 64-bit integers"
+            )
         labels = raw.astype(np.int64)
         keep = [j for j in range(width) if j != col]
         parsed = parsed[:, keep]
@@ -188,10 +201,10 @@ def load_labels(path) -> np.ndarray:
             if not text:
                 continue
             try:
-                labels.append(int(text))
-            except ValueError:
+                labels.append(int(np.int64(text)))
+            except (ValueError, OverflowError):
                 raise ParseError(
-                    f"{path}: line {line_no} is not an integer: {text!r}"
+                    f"{path}: line {line_no} is not a 64-bit integer: {text!r}"
                 ) from None
     if not labels:
         raise ParseError(f"{path}: no labels found")
@@ -232,25 +245,3 @@ def pairwise_euclidean(samples) -> np.ndarray:
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D sample matrix, got {x.ndim}-D")
     return squareform(pdist(x, metric="euclidean"))
-
-
-def redundancy(matrix: FeatureMatrix) -> np.ndarray:
-    """Pairwise feature redundancy: squared cosine similarity between columns.
-
-    Identical (or sign-flipped) features score 1, orthogonal features 0.
-
-    Raises
-    ------
-    DataError
-        If any column is the zero vector, for which the measure is undefined.
-    """
-    norms = np.linalg.norm(matrix.values, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(
-            f"redundancy undefined for zero-norm feature column(s) {zero.tolist()}"
-        )
-    unit = matrix.values / norms
-    cos = unit.T @ unit
-    np.clip(cos, -1.0, 1.0, out=cos)
-    return cos**2

@@ -107,14 +107,42 @@ def _stage(name: str, timings: dict):
         timings[name] = (time.perf_counter() - start) * 1000.0
 
 
-def _cluster_scores(matrix: FeatureMatrix, labels, cfg: PipelineConfig):
-    """(embedding, nmi, acc) of spectral clustering on one matrix."""
-    sim = gaussian_similarity(matrix)
-    emb = spectral_embedding(sim, cfg.k_clusters)
+def cluster_scores(
+    matrix: FeatureMatrix, labels, k: int, seed: int, restarts: int, sigma=None
+):
+    """(embedding, sigma, nmi, acc) of spectral clustering on one matrix.
+
+    ``sigma`` defaults to the mean pairwise sample distance.  Without
+    ``labels`` only the embedding is computed and both scores are None.
+    """
+    sim = gaussian_similarity(matrix, sigma=sigma)
+    emb = spectral_embedding(sim, k)
     if labels is None:
-        return emb, None, None
-    pred = njw_cluster(emb, cfg.k_clusters, seed=cfg.seed, restarts=cfg.restarts)
-    return emb, float(nmi(labels, pred)), float(acc(labels, pred))
+        return emb, sim.sigma, None, None
+    pred = njw_cluster(emb, k, seed=seed, restarts=restarts)
+    return emb, sim.sigma, float(nmi(labels, pred)), float(acc(labels, pred))
+
+
+def mcfs_records(
+    matrix: FeatureMatrix, embedding, counts, labels, k: int, seed: int, restarts: int
+) -> list[dict]:
+    """Clustering scores of the MCFS selection of each count of features.
+
+    One record per count; its scores are None when the count exceeds the
+    number of features in ``matrix``.
+    """
+    records = []
+    for m in counts:
+        record = {"input_features": matrix.n_features, "selected": m}
+        record["nmi"] = record["acc"] = None
+        if m <= matrix.n_features:
+            chosen = mcfs_select(matrix, embedding, m)
+            picked = matrix.subset(np.sort(chosen.selected))
+            _, _, record["nmi"], record["acc"] = cluster_scores(
+                picked, labels, k, seed, restarts
+            )
+        records.append(record)
+    return records
 
 
 def run_pipeline(
@@ -133,6 +161,12 @@ def run_pipeline(
             raise DimensionError(
                 f"{labels.shape[0]} labels for {features.n_samples} samples"
             )
+    if not 1 <= config.k_clusters < features.n_samples:
+        raise ParameterError(
+            f"k_clusters must lie in [1, {features.n_samples - 1}] for "
+            f"{features.n_samples} samples, got {config.k_clusters}"
+        )
+    clustering = (config.k_clusters, config.seed, config.restarts)
     timings: dict[str, float] = {}
     total_start = time.perf_counter()
 
@@ -156,8 +190,8 @@ def run_pipeline(
         )
 
     with _stage("baseline", timings):
-        baseline_emb, baseline_nmi, baseline_acc = _cluster_scores(
-            normalized, labels, config
+        baseline_emb, _, baseline_nmi, baseline_acc = cluster_scores(
+            normalized, labels, *clustering
         )
 
     sweep: list[dict] = []
@@ -178,8 +212,8 @@ def run_pipeline(
                 record["retained"] = int(reduction.kept.size)
                 record["subgraphs"] = len(partition.subgraphs)
                 record["singletons"] = len(partition.singletons)
-                emb, record["nmi"], record["acc"] = _cluster_scores(
-                    reduced, labels, config
+                emb, _, record["nmi"], record["acc"] = cluster_scores(
+                    reduced, labels, *clustering
                 )
                 record["error"] = None
                 reduced_inputs.append((theta, reduced, emb))
@@ -192,26 +226,12 @@ def run_pipeline(
                 record["error"] = str(exc)
             sweep.append(record)
 
-    mcfs_records: list[dict] = []
+    mcfs: list[dict] = []
     if config.mcfs_counts and labels is not None:
         with _stage("mcfs", timings):
             for theta, matrix, emb in reduced_inputs:
-                for m in config.mcfs_counts:
-                    record = {
-                        "theta": theta,
-                        "input_features": matrix.n_features,
-                        "selected": m,
-                    }
-                    if m > matrix.n_features:
-                        record["nmi"] = None
-                        record["acc"] = None
-                    else:
-                        chosen = mcfs_select(matrix, emb, m)
-                        picked = matrix.subset(np.sort(chosen.selected))
-                        _, record["nmi"], record["acc"] = _cluster_scores(
-                            picked, labels, config
-                        )
-                    mcfs_records.append(record)
+                records = mcfs_records(matrix, emb, config.mcfs_counts, labels, *clustering)
+                mcfs.extend({"theta": theta, **record} for record in records)
 
     timings["total"] = (time.perf_counter() - total_start) * 1000.0
     return {
@@ -238,7 +258,7 @@ def run_pipeline(
             "acc": baseline_acc,
         },
         "sweep": sweep,
-        "mcfs": mcfs_records,
+        "mcfs": mcfs,
         "timings_ms": timings,
     }
 
@@ -249,6 +269,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def write_angles_csv(path, bin_edges, counts, overflow) -> None:
+    """Write an angle histogram as CSV: a ``bin_left,bin_right,count`` row per
+    bin, then ``<last edge>,inf,<overflow>`` for the undefined angles."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_left", "bin_right", "count"])
+        for left, right, count in zip(bin_edges[:-1], bin_edges[1:], counts):
+            writer.writerow([repr(float(left)), repr(float(right)), int(count)])
+        writer.writerow([repr(float(bin_edges[-1])), "inf", int(overflow)])
 
 
 def render_report(report: dict, out_dir) -> list[str]:
@@ -281,14 +312,7 @@ def render_report(report: dict, out_dir) -> list[str]:
     written.append(path)
 
     path = os.path.join(out_dir, "angles.csv")
-    edges = report["angles"]["bin_edges"]
-    counts = report["angles"]["counts"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([repr(left), repr(right), count])
-        writer.writerow([repr(edges[-1]), "inf", report["angles"]["overflow"]])
+    write_angles_csv(path, **report["angles"])
     written.append(path)
 
     if report["mcfs"]:

@@ -15,6 +15,7 @@ features' valid representations.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -155,18 +156,14 @@ def representation_angle(graph: SparseFeatureGraph, features: FeatureMatrix) -> 
             f"{features.n_features} features"
         )
     values = features.values
+    recon = graph.weights @ values.T  # row i: node i's reconstruction
+    dots = np.einsum("ij,ji->i", recon, values)
+    rn = np.linalg.norm(recon, axis=1)
+    fn = np.linalg.norm(values, axis=0)
+    defined = (rn != 0.0) & (fn != 0.0)
     angles = np.full(graph.n_nodes, np.nan)
-    for i in range(graph.n_nodes):
-        dst, w = graph.out_edges(i)
-        if dst.size == 0:
-            continue
-        recon = values[:, dst] @ w
-        rn = np.linalg.norm(recon)
-        fn = np.linalg.norm(values[:, i])
-        if rn == 0.0 or fn == 0.0:
-            continue
-        cos = float(values[:, i] @ recon) / (fn * rn)
-        angles[i] = float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    cos = dots[defined] / (fn[defined] * rn[defined])
+    angles[defined] = np.arccos(np.clip(cos, -1.0, 1.0))
     return angles
 
 
@@ -195,16 +192,10 @@ def filter_failed(
     else:
         rejected = undefined | (angles > max_angle)
 
-    newly_failed = set(int(i) for i in np.flatnonzero(rejected))
-    failed = set(graph.failed_nodes) | newly_failed
-    keep = np.ones(graph.n_nodes, dtype=bool)
-    keep[list(newly_failed)] = False
-
-    lil = graph.weights.tolil(copy=True)
-    for i in np.flatnonzero(~keep):
-        lil.rows[i] = []
-        lil.data[i] = []
-    return SparseFeatureGraph(lil.tocsr(), frozenset(failed))
+    weights = graph.weights.copy()
+    weights.data[np.repeat(rejected, np.diff(weights.indptr))] = 0.0
+    newly_failed = frozenset(np.flatnonzero(rejected).tolist())
+    return SparseFeatureGraph(weights, graph.failed_nodes | newly_failed)
 
 
 @dataclass
@@ -256,7 +247,12 @@ def save_sfg(graph: SparseFeatureGraph, path) -> None:
 
 
 def load_sfg(path) -> SparseFeatureGraph:
-    """Read a graph written by :func:`save_sfg`."""
+    """Read a graph written by :func:`save_sfg`.
+
+    Raises :class:`ParseError` for a malformed header or edge line, a node
+    index outside ``[0, d)``, a self-loop, a repeated edge or a non-finite
+    weight.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# sfg "):
@@ -266,11 +262,15 @@ def load_sfg(path) -> SparseFeatureGraph:
         )
         try:
             d = int(fields["d"])
+            failed = frozenset(
+                int(tok) for tok in fields.get("failed", "").split(",") if tok
+            )
         except (KeyError, ValueError):
             raise ParseError(f"{path}: bad graph header: {header!r}") from None
-        failed = frozenset(
-            int(tok) for tok in fields.get("failed", "").split(",") if tok
-        )
+        if d < 0 or any(not 0 <= i < d for i in failed):
+            raise ParseError(
+                f"{path}: header needs d >= 0 and failed ids in [0, d): {header!r}"
+            )
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -282,10 +282,18 @@ def load_sfg(path) -> SparseFeatureGraph:
             if len(parts) != 3:
                 raise ParseError(f"{path}: line {line_no}: expected 3 tab-separated fields")
             try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(float(parts[2]))
+                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}: bad edge {text!r}") from None
+            if not (0 <= i < d and 0 <= j < d and i != j and math.isfinite(w)):
+                raise ParseError(
+                    f"{path}: line {line_no}: edge {text!r} needs two distinct "
+                    f"nodes in [0, {d}) and a finite weight"
+                )
+            rows.append(i)
+            cols.append(j)
+            vals.append(w)
     weights = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.float64)
+    if weights.nnz != len(vals):  # the conversion summed a repeated edge
+        raise ParseError(f"{path}: repeated edge: a src, dst pair appears twice")
     return SparseFeatureGraph(weights, failed)

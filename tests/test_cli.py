@@ -63,6 +63,33 @@ def test_sfg_builds_a_loadable_graph_and_angle_csv(tmp_path):
     assert lines[-1].split(",")[1] == "inf"
 
 
+def test_sfg_angles_csv_matches_pipeline_angles_csv(tmp_path):
+    data, labels = _make_dataset(tmp_path)
+    angles_path = tmp_path / "angles.csv"
+    code = main(
+        [
+            "sfg",
+            "--input", str(data),
+            "--out", str(tmp_path / "graph.tsv"),
+            "--angles", str(angles_path),
+        ]
+    )
+    assert code == 0
+    out = tmp_path / "run"
+    code = main(
+        [
+            "pipeline",
+            "--input", str(data),
+            "--labels", str(labels),
+            "--k", "2",
+            "--theta", "0.5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert angles_path.read_bytes() == (out / "angles.csv").read_bytes()
+
+
 def test_lcs_and_reduce_agree_on_kept_features(tmp_path, capsys):
     data, _ = _make_dataset(tmp_path)
     graph_path = tmp_path / "graph.tsv"
@@ -250,6 +277,17 @@ def test_pipeline_rejects_unknown_config_key(tmp_path):
     ) == 1
 
 
+def test_pipeline_bad_config_value_names_key_and_line(tmp_path, capsys):
+    data, _ = _make_dataset(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"input = {data}\nk = three\n")
+    out = tmp_path / "never"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'k'" in err
+    assert not out.exists()
+
+
 def test_pipeline_require_labels_fails_before_computation(tmp_path):
     data, _ = _make_dataset(tmp_path)
     out = tmp_path / "never"
@@ -336,6 +374,37 @@ def test_unparseable_input_exits_two(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2\n")
     assert main(["sfg", "--input", str(bad), "--out", str(tmp_path / "g.tsv")]) == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_csv_cell_exits_two(tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1,2,3\n4,5,6\n7,{cell},9\n")
+    graph_path = tmp_path / "g.tsv"
+    assert main(["sfg", "--input", str(bad), "--out", str(graph_path)]) == 2
+    assert "row 3, column 1" in capsys.readouterr().err
+    assert not graph_path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("# sfg d=3 failed=\n0\t3\t0.5\n", "line 2"),
+        ("# sfg d=3 failed=\n0\t1\t0.5\n1\t1\t0.5\n", "line 3"),
+        ("# sfg d=3 failed=\n0\t1\t0.6\n0\t1\t0.6\n", "repeated edge"),
+        ("# sfg d=3 failed=3\n0\t1\t0.5\n", "failed ids"),
+        ("# sfg d=3 failed=\n0\t1\tnan\n", "finite weight"),
+    ],
+    ids=["index-out-of-range", "self-loop", "duplicate-edge", "failed-id", "nan-weight"],
+)
+def test_lcs_rejects_malformed_graph_file(tmp_path, capsys, text, problem):
+    graph_path = tmp_path / "graph.tsv"
+    graph_path.write_text(text)
+    out = tmp_path / "part.txt"
+    code = main(["lcs", "--graph", str(graph_path), "--theta", "0.5", "--out", str(out)])
+    assert code == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):

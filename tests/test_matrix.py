@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sfgraph import (
-    DataError,
     DimensionError,
     FeatureMatrix,
     ParameterError,
@@ -13,7 +12,6 @@ from sfgraph import (
     load_labels,
     normalize_features,
     pairwise_euclidean,
-    redundancy,
     save_csv,
 )
 
@@ -189,32 +187,3 @@ def test_pairwise_euclidean_matches_brute_force():
         np.testing.assert_allclose(dist, dist.T, atol=0)
         np.testing.assert_array_equal(np.diag(dist), np.zeros(n))
 
-
-def test_redundancy_matches_cosine_oracle():
-    rng = np.random.default_rng(5)
-    m = FeatureMatrix(rng.normal(size=(12, 5)))
-    r = redundancy(m)
-    for i in range(5):
-        for j in range(5):
-            a, b = m.column(i), m.column(j)
-            cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-            assert abs(r[i, j] - cos**2) < 1e-12
-    np.testing.assert_allclose(np.diag(r), 1.0, atol=1e-12)
-    assert np.all(r >= 0.0) and np.all(r <= 1.0)
-
-
-def test_redundancy_of_a_feature_and_its_negation_is_one():
-    rng = np.random.default_rng(9)
-    f = rng.normal(size=8)
-    m = FeatureMatrix(np.column_stack([f, -f]))
-    r = redundancy(m)
-    assert abs(r[0, 1] - 1.0) < 1e-12
-    assert abs(r[1, 0] - 1.0) < 1e-12
-
-
-def test_redundancy_rejects_zero_columns():
-    values = np.ones((4, 2))
-    values[:, 1] = 0.0
-    with pytest.raises(DataError) as err:
-        redundancy(FeatureMatrix(values))
-    assert "1" in str(err.value)

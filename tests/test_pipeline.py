@@ -153,6 +153,19 @@ def test_label_length_mismatch_is_rejected():
         run_pipeline(matrix, np.zeros(3, dtype=int), _config())
 
 
+def test_cluster_count_is_checked_before_any_stage(monkeypatch):
+    matrix, labels, _ = _synth_dataset(seed=8)
+
+    def explode(*args, **kwargs):
+        raise AssertionError("a stage ran before the cluster-count check")
+
+    monkeypatch.setattr("sfgraph.pipeline.normalize_features", explode)
+    for k in (matrix.n_samples, matrix.n_samples + 1):
+        with pytest.raises(ParameterError) as err:
+            run_pipeline(matrix, labels, _config(k_clusters=k))
+        assert "k_clusters" in str(err.value)
+
+
 def test_stage_errors_carry_the_stage_name():
     # a single-feature matrix cannot form a graph; the failure names the stage
     matrix = FeatureMatrix(np.ones((10, 2)) * np.array([1.0, 2.0]))

@@ -146,6 +146,55 @@ def test_representation_angle_oracle_cases():
     assert np.isnan(angles[3])
 
 
+def _loop_angles(graph, features):
+    """Reference: each node's angle from its own out-edges, one node at a time."""
+    values = features.values
+    angles = np.full(graph.n_nodes, np.nan)
+    for i in range(graph.n_nodes):
+        dst, w = graph.out_edges(i)
+        if dst.size == 0:
+            continue
+        recon = values[:, dst] @ w
+        rn = np.linalg.norm(recon)
+        fn = np.linalg.norm(values[:, i])
+        if rn == 0.0 or fn == 0.0:
+            continue
+        cos = float(values[:, i] @ recon) / (fn * rn)
+        angles[i] = float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    return angles
+
+
+def test_representation_angle_matches_per_node_oracle():
+    rng = np.random.default_rng(13)
+    for trial in range(30):
+        n = int(rng.integers(3, 12))
+        d = int(rng.integers(5, 16))
+        values = rng.normal(size=(n, d))
+        values[:, 1] = values[:, 0]  # a duplicate pair, so +1/-1 weights cancel
+        if trial % 3 == 0:
+            values[:, -1] = 0.0  # a zero-norm feature
+        norms = np.linalg.norm(values, axis=0)
+        features = FeatureMatrix(values / np.where(norms == 0.0, 1.0, norms))
+        dense = rng.normal(size=(d, d)) * (rng.random(size=(d, d)) < 0.4)
+        np.fill_diagonal(dense, 0.0)
+        dense[2:5, :] = 0.0
+        dense[3, [0, 4]] = [0.7, -0.7]  # weights that sum to zero
+        dense[4, [0, 1]] = [1.0, -1.0]  # a reconstruction that is exactly zero
+        graph = SparseFeatureGraph(sp.csr_matrix(dense), frozenset())
+
+        got = representation_angle(graph, features)
+        expected = _loop_angles(graph, features)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        assert np.isnan(got[2]) and np.isnan(got[4])  # empty row, zero reconstruction
+        assert not np.isnan(got[3])
+        # arccos near 0 turns ulp-level differences into ~3e-8 rad, so compare
+        # the cosines, which the reordered sums leave within a few ulps.
+        defined = ~np.isnan(expected)
+        np.testing.assert_allclose(
+            np.cos(got[defined]), np.cos(expected[defined]), rtol=0, atol=1e-12
+        )
+
+
 def test_representation_angle_checks_shape():
     graph = _graph_from_rows(3, {0: {1: 1.0}})
     with pytest.raises(ParameterError):
