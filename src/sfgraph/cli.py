@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
 )
 from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
-from .matrix import load_csv, load_labels, normalize_features, save_csv
+from .matrix import _text_lines, load_csv, load_labels, normalize_features, save_csv
 from .omp import OmpConfig
 from .pipeline import (
     DEFAULT_THETAS,
@@ -233,7 +233,7 @@ _CONFIG_KEYS = {
 def _read_config_file(path) -> dict:
     values: dict = {}
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_text_lines(fh, path), start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue

@@ -379,7 +379,6 @@ def mcfs_select(
     safe = np.where(zero_mask, 1.0, norms)
     values = np.asfortranarray(features.values / safe)
 
-    scores = np.zeros(d)
     coefficients = np.zeros((y.shape[1], d))
     for col in range(y.shape[1]):
         t = y[:, col]
@@ -389,10 +388,8 @@ def mcfs_select(
         support, coef, _, _ = _greedy_fit(
             values, t / tn, MCFS_EPSILON, cap, pre_banned=zero_mask
         )
-        for j, w in zip(support, coef):
-            coefficients[col, j] = w
-            if abs(w) > scores[j]:
-                scores[j] = abs(w)
+        coefficients[col, support] = coef
+    scores = np.abs(coefficients).max(axis=0, initial=0.0)
     order = np.lexsort((np.arange(d), -scores))
     selected = order[:m].astype(np.intp)
     return McfsResult(scores, selected, coefficients)

@@ -74,6 +74,15 @@ class FeatureMatrix:
         return FeatureMatrix(self.values[:, idx], names)
 
 
+def _text_lines(fh, path):
+    """The lines of the text file ``fh``; bytes that are not valid in its
+    encoding raise :class:`ParseError` naming ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid {exc.encoding} text ({exc.reason})") from None
+
+
 def _parse_cell(cell: str) -> float | None:
     try:
         return float(cell)
@@ -98,7 +107,8 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
     ------
     ParseError
         Ragged rows (reported with their 1-based row number), non-numeric
-        cells outside the header, or non-integer label values.
+        cells outside the header, non-integer label values, or bytes that
+        are not valid text.
     DataError
         A NaN or infinite cell, reported with its row and column.
     DimensionError
@@ -107,7 +117,7 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
     """
     with open(path, newline="") as fh:
         try:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = [row for row in csv.reader(_text_lines(fh, path)) if row]
         except csv.Error as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not rows:
@@ -196,7 +206,7 @@ def load_labels(path) -> np.ndarray:
     """Load class labels from a text file with one integer per line."""
     labels: list[int] = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_text_lines(fh, path), start=1):
             text = line.strip()
             if not text:
                 continue

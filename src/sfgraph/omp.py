@@ -12,9 +12,11 @@ adapts to the target: targets that are (nearly) exact combinations of a few
 dictionary atoms get tiny supports, while unstructured targets keep only as
 many atoms as actually reduce the error.
 
-The active-set least-squares problem is re-solved every iteration through an
-incrementally grown Cholesky factor of the Gram matrix, so adding an atom
-costs O(k^2) instead of refactoring from scratch.
+The solver grows an orthonormal basis Q of the support's span, with
+``cols[:, support] = Q R``, by classical Gram-Schmidt applied twice, and
+removes each new basis direction from the residual in place.  The
+coefficients are solved once, after the last atom, from ``R c = Q^T target``;
+never forming the Gram matrix avoids squaring the support's condition number.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ UNIT_NORM_TOL = 1e-6
 # numerical noise to the support.
 CORRELATION_FLOOR = 1e-12
 # Squared norm of the component of a candidate atom orthogonal to the span of
-# the current support.  Below this the Gram matrix is numerically singular and
-# the atom is skipped.
+# the current support.  Below this R would be numerically singular and the
+# atom is skipped.
 DEPENDENCE_FLOOR = 1e-12
 
 # stop_reason values
@@ -111,60 +113,45 @@ def _greedy_fit(
     banned = np.zeros(p, dtype=bool) if pre_banned is None else pre_banned.copy()
     if exclude is not None:
         banned[exclude] = True
-    usable = p - int(banned.sum())
-    cap = min(max_support, usable)
+    cap = min(max_support, p - int(banned.sum()))
 
     support: list[int] = []
-    coef = np.empty(0)
     q = target.astype(np.float64, copy=True)
     trace = [float(q @ q)]
-    if cap <= 0:
-        return support, coef, trace, STOP_NO_ATOM
-
-    # Lower-triangular Cholesky factor of the Gram matrix on the support,
-    # grown one row per accepted atom.
-    L = np.zeros((cap, cap))
-    phi_t_target = np.empty(cap)
-
+    # cols[:, support] = Q R with orthonormal Q, and z = Q^T target (q differs
+    # from target only along earlier columns of Q).  No more than n atoms can
+    # be independent, so n columns suffice.
+    size = min(cap, n)
+    Q = np.empty((n, size), order="F")
+    R = np.zeros((size, size))
+    z = np.empty(size)
+    k = 0
+    corr = q @ cols
     while True:
-        corr = q @ cols
         corr[banned] = 0.0
-        reason = None
-        while True:
-            j = int(np.argmax(np.abs(corr)))
-            if abs(corr[j]) <= CORRELATION_FLOOR:
-                reason = STOP_NO_ATOM
-                break
-            atom = cols[:, j]
-            k = len(support)
-            if k == 0:
-                d2 = float(atom @ atom)
-                w = np.empty(0)
-            else:
-                g = atom @ cols[:, support]
-                w = solve_triangular(L[:k, :k], g, lower=True, check_finite=False)
-                d2 = float(atom @ atom) - float(w @ w)
-            if d2 <= DEPENDENCE_FLOOR:
-                # Numerically inside the span of the current support: skip it
-                # for good and try the next-best atom.
-                banned[j] = True
-                corr[j] = 0.0
-                continue
-            L[k, :k] = w
-            L[k, k] = np.sqrt(d2)
-            phi_t_target[k] = atom @ target
-            support.append(j)
-            banned[j] = True
+        j = int(np.argmax(np.abs(corr)))
+        if abs(corr[j]) <= CORRELATION_FLOOR:
+            reason = STOP_NO_ATOM
             break
-        if reason is not None:
-            break
-
-        k = len(support)
-        y = solve_triangular(L[:k, :k], phi_t_target[:k], lower=True, check_finite=False)
-        coef = solve_triangular(
-            L[:k, :k], y, lower=True, trans="T", check_finite=False
-        )
-        q = target - cols[:, support] @ coef
+        banned[j] = True
+        # Classical Gram-Schmidt, applied twice so that Q stays orthonormal.
+        Qk = Q[:, :k]
+        h = Qk.T @ cols[:, j]
+        v = cols[:, j] - Qk @ h
+        h2 = Qk.T @ v
+        v -= Qk @ h2
+        v2 = float(v @ v)
+        if v2 <= DEPENDENCE_FLOOR:
+            # Numerically inside the span of the current support: skip it for
+            # good and try the next-best atom.
+            continue
+        R[:k, k] = h + h2
+        R[k, k] = np.sqrt(v2)
+        Q[:, k] = v / R[k, k]
+        z[k] = Q[:, k] @ q
+        q -= z[k] * Q[:, k]
+        support.append(j)
+        k += 1
         trace.append(float(q @ q))
 
         if abs(trace[-1] - trace[-2]) <= epsilon:
@@ -173,7 +160,9 @@ def _greedy_fit(
         if k >= cap:
             reason = STOP_SUPPORT_LIMIT
             break
+        corr = q @ cols
 
+    coef = solve_triangular(R[:k, :k], z[:k], check_finite=False)
     return support, coef, trace, reason
 
 

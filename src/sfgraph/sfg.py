@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, ParseError
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, _text_lines
 from .omp import UNIT_NORM_TOL, OmpConfig, _greedy_fit
 
 __all__ = [
@@ -119,28 +119,19 @@ def build_sfg(
             f"apply normalize_features before building the graph"
         )
 
-    live = [i for i in range(d) if not zero_mask[i]]
+    live = np.flatnonzero(~zero_mask)
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             fits = list(pool.map(lambda i: _fit_row(values, i, cfg, zero_mask), live))
     else:
         fits = [_fit_row(values, i, cfg, zero_mask) for i in live]
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    failed = frozenset(int(i) for i in np.flatnonzero(zero_mask))
-    for i, (support, coef) in zip(live, fits):
-        for j, w in zip(support, coef):
-            if w != 0.0:
-                rows.append(i)
-                cols.append(int(j))
-                vals.append(float(w))
-
-    weights = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(d, d), dtype=np.float64
-    )
-    return SparseFeatureGraph(weights, failed)
+    # The empty leading arrays keep concatenate defined when no column is live.
+    rows = np.repeat(live, [len(s) for s, _ in fits])
+    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [s for s, _ in fits])
+    vals = np.concatenate([np.empty(0)] + [c for _, c in fits])
+    weights = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.float64)
+    return SparseFeatureGraph(weights, np.flatnonzero(zero_mask))
 
 
 def representation_angle(graph: SparseFeatureGraph, features: FeatureMatrix) -> np.ndarray:
@@ -250,11 +241,12 @@ def load_sfg(path) -> SparseFeatureGraph:
     """Read a graph written by :func:`save_sfg`.
 
     Raises :class:`ParseError` for a malformed header or edge line, a node
-    index outside ``[0, d)``, a self-loop, a repeated edge or a non-finite
-    weight.
+    index outside ``[0, d)``, a self-loop, a repeated edge, a non-finite
+    weight or bytes that are not valid text.
     """
     with open(path) as fh:
-        header = fh.readline().strip()
+        lines = _text_lines(fh, path)
+        header = next(lines, "").strip()
         if not header.startswith("# sfg "):
             raise ParseError(f"{path}: missing graph header line")
         fields = dict(
@@ -274,7 +266,7 @@ def load_sfg(path) -> SparseFeatureGraph:
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        for line_no, line in enumerate(fh, start=2):
+        for line_no, line in enumerate(lines, start=2):
             text = line.strip()
             if not text:
                 continue

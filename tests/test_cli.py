@@ -1,6 +1,7 @@
 """Tests for the command line interface: subcommands, files, exit codes."""
 
 import json
+import locale
 
 import numpy as np
 import pytest
@@ -405,6 +406,37 @@ def test_lcs_rejects_malformed_graph_file(tmp_path, capsys, text, problem):
     assert code == 2
     assert problem in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="a Latin-1 byte is valid text in a non-UTF-8 locale",
+)
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        ("data.csv", b"1,2\n3,\xe9\n", ["sfg", "--out", "g.tsv", "--input"]),
+        (
+            "labels.txt",
+            b"0\n1\xe9\n0\n",
+            ["eval-sc", "--k", "2", "--input", "ok.csv", "--labels"],
+        ),
+        (
+            "graph.tsv",
+            b"# sfg d=2 failed=\n0\t1\t0.5 \xe9\n",
+            ["lcs", "--theta", "0.5", "--out", "p.txt", "--graph"],
+        ),
+        ("run.cfg", b"k = 2  # caf\xe9\n", ["pipeline", "--config"]),
+    ],
+    ids=["csv", "labels", "graph", "config"],
+)
+def test_reader_rejects_latin1_bytes(tmp_path, monkeypatch, capsys, name, content, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.csv").write_text("1,2\n3,4\n5,7\n")
+    (tmp_path / name).write_bytes(content)
+    assert main(argv + [name]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: not valid utf-8 text" in err
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):

@@ -1,17 +1,32 @@
 """Tests for the greedy sparse solver.
 
 Coefficient correctness is checked against direct least-squares refits on the
-selected support, computed independently with numpy.linalg.lstsq.
+selected support, computed independently with numpy.linalg.lstsq, and the
+whole fit against a reference pursuit that re-solves the normal equations
+through a Cholesky factor on every iteration.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from sfgraph import OmpConfig, ParameterError, SparseRepresentation, omp, reconstruct
+from sfgraph import (
+    OmpConfig,
+    ParameterError,
+    SparseRepresentation,
+    SynthSpec,
+    generate,
+    normalize_features,
+    omp,
+    reconstruct,
+)
 from sfgraph.omp import (
+    CORRELATION_FLOOR,
+    DEPENDENCE_FLOOR,
     STOP_CONVERGED,
     STOP_NO_ATOM,
     STOP_SUPPORT_LIMIT,
+    _greedy_fit,
 )
 
 
@@ -90,6 +105,24 @@ def test_coefficients_match_least_squares_on_any_support():
         np.testing.assert_allclose(rep.coefficients, oracle, atol=1e-8)
 
 
+def test_coefficients_match_least_squares_on_ill_conditioned_dictionaries():
+    # Every atom lies within about 1e-4 of one common direction, so supports
+    # are ill-conditioned (coefficients in the thousands).  Solving through
+    # the Gram matrix squares the condition number and misses this bound; so
+    # does a single Gram-Schmidt pass.
+    rng = np.random.default_rng(55)
+    for trial in range(20):
+        n, p = 30, 20
+        cols = rng.normal(size=(n, 1)) + 1e-4 * rng.normal(size=(n, p))
+        cols /= np.linalg.norm(cols, axis=0)
+        target = rng.normal(size=n)
+        target /= np.linalg.norm(target)
+        rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+        oracle = _ls_oracle(cols, rep.support, target)
+        scale = max(1.0, float(np.max(np.abs(rep.coefficients))))
+        np.testing.assert_allclose(rep.coefficients, oracle, rtol=0, atol=1e-8 * scale)
+
+
 def test_residual_trace_is_monotone_and_orthogonal():
     rng = np.random.default_rng(2024)
     for trial in range(200):
@@ -154,6 +187,25 @@ def test_numerically_dependent_atom_is_banned_then_nothing_remains():
     assert rep.stop_reason == STOP_NO_ATOM
     oracle = _ls_oracle(cols, rep.support, target)
     np.testing.assert_allclose(rep.coefficients, oracle, atol=1e-10)
+
+
+def test_nearly_dependent_atom_above_the_floor_is_accepted():
+    # The same construction with an off-span component of 2e-6: its square,
+    # 4e-12, clears the dependence floor, so the atom is accepted and the fit
+    # absorbs the remaining e2 component through a large coefficient.
+    n = 6
+    e = np.eye(n)
+    dep = e[:, 0] - 2e-6 * e[:, 2]
+    dep /= np.linalg.norm(dep)
+    cols = np.column_stack([e[:, 0], e[:, 1], e[:, 3], dep])
+    target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
+    target /= np.linalg.norm(target)
+    rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+    assert rep.support.tolist() == [0, 1, 2, 3]
+    assert rep.final_residual < 1e-12
+    oracle = _ls_oracle(cols, rep.support, target)
+    scale = float(np.max(np.abs(oracle)))
+    np.testing.assert_allclose(rep.coefficients, oracle, rtol=0, atol=1e-8 * scale)
 
 
 def test_dependent_atom_is_skipped_in_favor_of_next_best():
@@ -231,3 +283,123 @@ def test_reconstruct_matches_manual_sum():
     for j, w in zip(rep.support, rep.coefficients):
         manual += w * cols[:, j]
     np.testing.assert_allclose(reconstruct(rep, cols), manual, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the Cholesky pursuit
+
+
+def _cholesky_greedy_fit(cols, target, epsilon, max_support, exclude=None, pre_banned=None):
+    """Same pursuit, re-solving every coefficient on every iteration through a
+    grown Cholesky factor of the support's Gram matrix."""
+    n, p = cols.shape
+    banned = np.zeros(p, dtype=bool) if pre_banned is None else pre_banned.copy()
+    if exclude is not None:
+        banned[exclude] = True
+    usable = p - int(banned.sum())
+    cap = min(max_support, usable)
+
+    support = []
+    coef = np.empty(0)
+    q = target.astype(np.float64, copy=True)
+    trace = [float(q @ q)]
+    if cap <= 0:
+        return support, coef, trace, STOP_NO_ATOM
+
+    L = np.zeros((cap, cap))
+    phi_t_target = np.empty(cap)
+
+    while True:
+        corr = q @ cols
+        corr[banned] = 0.0
+        reason = None
+        while True:
+            j = int(np.argmax(np.abs(corr)))
+            if abs(corr[j]) <= CORRELATION_FLOOR:
+                reason = STOP_NO_ATOM
+                break
+            atom = cols[:, j]
+            k = len(support)
+            if k == 0:
+                d2 = float(atom @ atom)
+                w = np.empty(0)
+            else:
+                g = atom @ cols[:, support]
+                w = solve_triangular(L[:k, :k], g, lower=True, check_finite=False)
+                d2 = float(atom @ atom) - float(w @ w)
+            if d2 <= DEPENDENCE_FLOOR:
+                banned[j] = True
+                corr[j] = 0.0
+                continue
+            L[k, :k] = w
+            L[k, k] = np.sqrt(d2)
+            phi_t_target[k] = atom @ target
+            support.append(j)
+            banned[j] = True
+            break
+        if reason is not None:
+            break
+
+        k = len(support)
+        y = solve_triangular(L[:k, :k], phi_t_target[:k], lower=True, check_finite=False)
+        coef = solve_triangular(L[:k, :k], y, lower=True, trans="T", check_finite=False)
+        q = target - cols[:, support] @ coef
+        trace.append(float(q @ q))
+
+        if abs(trace[-1] - trace[-2]) <= epsilon:
+            reason = STOP_CONVERGED
+            break
+        if k >= cap:
+            reason = STOP_SUPPORT_LIMIT
+            break
+
+    return support, coef, trace, reason
+
+
+def _assert_same_fit(got, want, where):
+    support, coef, trace, reason = got
+    ref_support, ref_coef, ref_trace, ref_reason = want
+    assert support == ref_support, where
+    assert reason == ref_reason, where
+    assert len(trace) == len(ref_trace), where
+    if ref_support:
+        scale = max(1.0, float(np.max(np.abs(ref_coef))))
+        np.testing.assert_allclose(coef, ref_coef, rtol=0, atol=1e-8 * scale, err_msg=where)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_matches_cholesky_oracle_on_leave_one_out_fits(seed):
+    # n < d with planted duplicates and mixtures: several rows saturate, i.e.
+    # their supports reach 0.9 n or more, where the Gram matrix is worst
+    # conditioned.
+    n = 40
+    spec = SynthSpec(
+        n_samples=n, base_features=n, clusters=4, separation=8.0,
+        duplicate_pairs=30, mixture_features=20, noise_features=13, seed=seed,
+    )
+    values = normalize_features(generate(spec)[0])[0].values
+    d = values.shape[1]
+    no_zero = np.zeros(d, dtype=bool)
+    saturated = 0
+    for i in range(d):
+        args = (values, values[:, i], 1e-6, d - 1)
+        got = _greedy_fit(*args, exclude=i, pre_banned=no_zero)
+        _assert_same_fit(got, _cholesky_greedy_fit(*args, exclude=i, pre_banned=no_zero), f"row {i}")
+        saturated += len(got[0]) >= 0.9 * n
+    assert saturated >= 5
+
+
+def test_matches_cholesky_oracle_on_random_dictionaries():
+    rng = np.random.default_rng(314)
+    reasons = set()
+    for trial in range(300):
+        n = int(rng.integers(4, 20))
+        p = int(rng.integers(2, 30))
+        cols = _random_unit_dictionary(n, p, rng)
+        target = rng.normal(size=n)
+        target /= np.linalg.norm(target)
+        args = (cols, target, float(rng.choice([1e-3, 1e-6, 1e-9])), int(rng.integers(1, p + 1)))
+        got = _greedy_fit(*args)
+        _assert_same_fit(got, _cholesky_greedy_fit(*args), f"trial {trial}")
+        reasons.add(got[3])
+    assert reasons == {STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM}

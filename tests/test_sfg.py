@@ -78,6 +78,13 @@ def test_zero_norm_feature_fails_at_build_and_is_never_an_atom():
     assert incoming.nnz == 0
 
 
+def test_all_zero_features_give_an_empty_graph_of_failed_nodes():
+    graph = build_sfg(FeatureMatrix(np.zeros((5, 3))))
+    assert graph.weights.shape == (3, 3)
+    assert graph.weights.nnz == 0
+    assert graph.failed_nodes == frozenset({0, 1, 2})
+
+
 def test_unrepresentable_feature_keeps_empty_row_but_is_not_failed_at_build():
     # mutually orthogonal features: no column can represent any other
     features = FeatureMatrix(np.eye(4))
