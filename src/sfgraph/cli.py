@@ -3,7 +3,8 @@
 Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``lcs``, ``reduce``, ``eval-sc``, ``eval-mcfs``) plus the end-to-end
 ``pipeline`` run.  Exit codes: 0 success, 1 usage/parameter problems,
-2 unusable input data, 3 numerical failure.
+2 unusable input data, 3 numerical failure; an error's code is its class's
+``exit_code``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimensionError,
-    NumericalError,
-    ParameterError,
-    ParseError,
-)
+from .errors import DimensionError, ParameterError, ParseError, SfgraphError
 from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
 from .matrix import _text_lines, load_csv, load_labels, normalize_features, save_csv
 from .omp import OmpConfig
@@ -212,6 +207,12 @@ def cmd_eval_mcfs(args) -> int:
 # --------------------------------------------------------------------------
 # pipeline subcommand with optional flat key=value config file
 
+def _config_bool(value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(value)
+    return value.lower() in ("1", "true", "yes")
+
+
 _CONFIG_KEYS = {
     "input": str,
     "labels": str,
@@ -224,9 +225,9 @@ _CONFIG_KEYS = {
     "m": lambda v: [int(x) for x in v.split(",") if x],
     "seed": int,
     "restarts": int,
-    "drop_singletons": lambda v: v.lower() in ("1", "true", "yes"),
-    "invert_angle_filter": lambda v: v.lower() in ("1", "true", "yes"),
-    "require_labels": lambda v: v.lower() in ("1", "true", "yes"),
+    "drop_singletons": _config_bool,
+    "invert_angle_filter": _config_bool,
+    "require_labels": _config_bool,
 }
 
 
@@ -252,20 +253,27 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _merge_config(args, argv) -> None:
-    """Fill args from the config file for flags not given on the command line."""
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, value in _read_config_file(args.config).items():
-        if key not in explicit:
-            setattr(args, key, value)
+def _merge_config(args, argv):
+    """Parse the pipeline's flags again over the config file's values.
+
+    argparse keeps a pre-set value unless a flag, in any spelling it accepts,
+    sets it.  A flag would append to a pre-set ``theta`` or ``m`` list, so the
+    file fills those only when no flag did.
+    """
+    values = _read_config_file(args.config)
+    lists = {key: values.pop(key) for key in ("theta", "m") if key in values}
+    parser = _Parser(prog="sfgraph pipeline")
+    _add_pipeline_flags(parser)
+    merged = parser.parse_args(argv[1:], argparse.Namespace(**values))
+    for key, value in lists.items():
+        if getattr(merged, key) is None:
+            setattr(merged, key, value)
+    return merged
 
 
 def cmd_pipeline(args, argv) -> int:
     if args.config:
-        _merge_config(args, argv)
+        args = _merge_config(args, argv)
     if args.input is None:
         raise ParameterError("--input is required (flag or config file)")
     if args.k is None:
@@ -324,6 +332,31 @@ def _add_cluster_flags(p) -> None:
     p.add_argument(
         "--restarts", type=int, default=10, help="k-means restarts (default 10)"
     )
+
+
+def _add_pipeline_flags(p) -> None:
+    p.add_argument("--input", default=None, help="input CSV dataset")
+    p.add_argument("--label-column", type=_label_column, default=None)
+    p.add_argument("--labels", default=None)
+    p.add_argument("--require-labels", action="store_true")
+    p.add_argument("--k", type=int, default=None, help="number of clusters")
+    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--max-angle-deg", type=float, default=15.0)
+    p.add_argument(
+        "--theta",
+        type=float,
+        action="append",
+        default=None,
+        help="threshold (repeatable; default 0.9..0.1)",
+    )
+    p.add_argument(
+        "--m", type=int, action="append", default=None, help="selection grid size"
+    )
+    p.add_argument("--drop-singletons", action="store_true")
+    p.add_argument("--invert-angle-filter", action="store_true")
+    _add_cluster_flags(p)
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--out", default="sfgraph-out", help="output directory")
 
 
 def build_parser() -> _Parser:
@@ -391,28 +424,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval_mcfs)
 
     p = sub.add_parser("pipeline", help="full reduction + evaluation sweep")
-    p.add_argument("--input", default=None, help="input CSV dataset")
-    p.add_argument("--label-column", type=_label_column, default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--require-labels", action="store_true")
-    p.add_argument("--k", type=int, default=None, help="number of clusters")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-angle-deg", type=float, default=15.0)
-    p.add_argument(
-        "--theta",
-        type=float,
-        action="append",
-        default=None,
-        help="threshold (repeatable; default 0.9..0.1)",
-    )
-    p.add_argument(
-        "--m", type=int, action="append", default=None, help="selection grid size"
-    )
-    p.add_argument("--drop-singletons", action="store_true")
-    p.add_argument("--invert-angle-filter", action="store_true")
-    _add_cluster_flags(p)
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--out", default="sfgraph-out", help="output directory")
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -426,18 +438,12 @@ def main(argv=None) -> int:
         if args.func is cmd_pipeline:
             return cmd_pipeline(args, argv)
         return args.func(args)
-    except ParameterError as exc:
+    except SfgraphError as exc:
         print(f"sfgraph: error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, DimensionError, DataError) as exc:
-        print(f"sfgraph: error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"sfgraph: error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"sfgraph: error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .matrix import FeatureMatrix, pairwise_euclidean
+from .matrix import FeatureMatrix, normalize_features, pairwise_euclidean
 from .omp import _greedy_fit
 
 __all__ = [
@@ -38,8 +38,8 @@ __all__ = [
 # Above this many samples the dense symmetric eigensolver is replaced by an
 # iterative one.
 DENSE_EIGEN_LIMIT = 4000
-# Threshold used by the sparse-regression scorer; effectively "run until the
-# support cap", since coefficient paths are cut by cardinality, not residual.
+# Threshold used by the sparse-regression scorer; effectively "run until m
+# atoms", since coefficient paths are cut by cardinality, not residual.
 MCFS_EPSILON = 1e-12
 
 
@@ -116,11 +116,8 @@ def gaussian_similarity(samples, sigma: float | None = None) -> SimilarityGraph:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's first entry with |v| > 1e-12 positive (in place)."""
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        big = np.flatnonzero(np.abs(col) > 1e-12)
-        if big.size and col[big[0]] < 0:
-            vectors[:, k] = -col
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    vectors *= np.where(vectors[first, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return vectors
 
 
@@ -283,44 +280,37 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _as_labels(a, name: str) -> np.ndarray:
-    arr = np.asarray(a).reshape(-1)
-    if arr.size == 0:
-        raise DimensionError(f"{name} label vector is empty")
-    return arr.astype(np.int64)
-
-
-def _canonical_partition(a: np.ndarray) -> np.ndarray:
-    """Relabel by order of first appearance, so partitions compare by shape."""
-    _, canon = np.unique(a, return_inverse=True)
-    first_seen: dict[int, int] = {}
-    out = np.empty_like(canon)
-    for i, v in enumerate(canon):
-        out[i] = first_seen.setdefault(int(v), len(first_seen))
-    return out
+def _contingency(labels_a, labels_b) -> np.ndarray:
+    """Sample counts per (id in a, id in b) pair, ids in ascending order."""
+    a = np.asarray(labels_a).reshape(-1).astype(np.int64)
+    b = np.asarray(labels_b).reshape(-1).astype(np.int64)
+    if a.size == 0 or b.size == 0:
+        raise DimensionError("label vector is empty")
+    if a.shape[0] != b.shape[0]:
+        raise DimensionError(
+            f"label vectors differ in length: {a.shape[0]} vs {b.shape[0]}"
+        )
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    cells = np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size)
+    return cells.reshape(ua.size, ub.size)
 
 
 def nmi(labels_a, labels_b) -> float:
     """Normalized mutual information between two labelings.
 
-    Natural-log entropies, normalized by ``max(H(A), H(B))``.  When both
-    labelings are constant the measure is 0/0; identical partitions score 1,
-    anything else 0.
+    Natural-log entropies of the contingency table's row sums, column sums
+    and cells, normalized by ``max(H(A), H(B))``.  When both labelings are
+    constant the measure is 0/0; both then put every sample in one group,
+    the same partition, and score 1.
     """
-    a = _as_labels(labels_a, "first")
-    b = _as_labels(labels_b, "second")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"label vectors differ in length: {a.shape[0]} vs {b.shape[0]}"
-        )
-    _, ca = np.unique(a, return_counts=True)
-    _, cb = np.unique(b, return_counts=True)
-    _, cab = np.unique(np.stack([a, b]), axis=1, return_counts=True)
-    h_a, h_b, h_ab = _entropy(ca), _entropy(cb), _entropy(cab)
+    table = _contingency(labels_a, labels_b)
+    h_a = _entropy(table.sum(axis=1))
+    h_b = _entropy(table.sum(axis=0))
+    h_ab = _entropy(table.ravel())
     denom = max(h_a, h_b)
     if denom == 0.0:
-        same = np.array_equal(_canonical_partition(a), _canonical_partition(b))
-        return 1.0 if same else 0.0
+        return 1.0
     return min(1.0, max(0.0, (h_a + h_b - h_ab) / denom))
 
 
@@ -328,56 +318,40 @@ def acc(labels_a, labels_b) -> float:
     """Best-match clustering accuracy.
 
     Fraction of samples that agree under the one-to-one relabeling of cluster
-    ids that maximizes agreement (padded to square when the two labelings use
-    different numbers of ids).  Symmetric in its arguments.
+    ids that maximizes agreement: an assignment on the rectangular
+    contingency table, so ids of the labeling with more of them may stay
+    unmatched.  Symmetric in its arguments.
     """
-    a = _as_labels(labels_a, "first")
-    b = _as_labels(labels_b, "second")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"label vectors differ in length: {a.shape[0]} vs {b.shape[0]}"
-        )
-    ua, ia = np.unique(a, return_inverse=True)
-    ub, ib = np.unique(b, return_inverse=True)
-    k = max(ua.size, ub.size)
-    contingency = np.zeros((k, k), dtype=np.int64)
-    np.add.at(contingency, (ia, ib), 1)
-    row, col = linear_sum_assignment(contingency, maximize=True)
-    return float(contingency[row, col].sum()) / a.shape[0]
+    table = _contingency(labels_a, labels_b)
+    row, col = linear_sum_assignment(table, maximize=True)
+    return float(table[row, col].sum() / table.sum())
 
 
 def mcfs_select(
-    features: FeatureMatrix,
-    embedding: SpectralEmbedding,
-    m: int,
-    support_cap: int | None = None,
+    features: FeatureMatrix, embedding: SpectralEmbedding, m: int
 ) -> McfsResult:
     """Score features by sparse regression onto the spectral embedding.
 
     Each embedding column is greedily regressed on the (unit-normalized)
-    feature columns with at most ``support_cap`` nonzero coefficients
-    (default: ``m``).  A feature's score is the largest absolute coefficient
-    it earns across the embedding columns; the top ``m`` scores win, ties
-    resolved toward the lower feature index.  The returned coefficients are
-    those of the normalized regressions, so ``scores`` equals the column-wise
-    max of ``|coefficients|`` exactly.
+    feature columns with at most ``m`` nonzero coefficients.  A feature's
+    score is the largest absolute coefficient it earns across the embedding
+    columns; the top ``m`` scores win, ties resolved toward the lower feature
+    index.  The returned coefficients are those of the normalized
+    regressions, so ``scores`` equals the column-wise max of
+    ``|coefficients|`` exactly.
     """
     d = features.n_features
     if not 1 <= m <= d:
         raise ParameterError(f"m must lie in [1, {d}] for {d} features, got {m}")
-    cap = m if support_cap is None else support_cap
-    if cap < 1:
-        raise ParameterError(f"support_cap must be at least 1, got {cap}")
     y = embedding.vectors
     if y.shape[0] != features.n_samples:
         raise DimensionError(
             f"embedding rows {y.shape[0]} do not match samples {features.n_samples}"
         )
 
-    norms = np.linalg.norm(features.values, axis=0)
-    zero_mask = norms == 0.0
-    safe = np.where(zero_mask, 1.0, norms)
-    values = np.asfortranarray(features.values / safe)
+    normalized, zero_columns = normalize_features(features)
+    zero_mask = np.zeros(d, dtype=bool)
+    zero_mask[zero_columns] = True
 
     coefficients = np.zeros((y.shape[1], d))
     for col in range(y.shape[1]):
@@ -386,7 +360,7 @@ def mcfs_select(
         if tn == 0.0:
             continue
         support, coef, _, _ = _greedy_fit(
-            values, t / tn, MCFS_EPSILON, cap, pre_banned=zero_mask
+            normalized.values, t / tn, MCFS_EPSILON, m, pre_banned=zero_mask
         )
         coefficients[col, support] = coef
     scores = np.abs(coefficients).max(axis=0, initial=0.0)

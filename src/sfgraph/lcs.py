@@ -7,9 +7,10 @@ a single representative feature with bounded loss.
 
 Group discovery keeps only edges whose normalized absolute weight reaches a
 threshold ``theta`` in (0, 1]; the groups are the connected components of
-that thresholded graph with edge direction ignored.  Groups are numbered in
-the order of their best seed, where nodes rank by decreasing in-degree with
-ties to the lower index; the numbering does not affect membership.
+that thresholded graph with edge direction ignored.  Nodes rank by decreasing
+in-degree with ties to the lower index.  Groups are numbered in the order of
+their best-ranked member, and that member is the group's representative,
+recorded in ``LcsPartition.representatives``; neither affects membership.
 """
 
 from __future__ import annotations
@@ -40,12 +41,15 @@ class LcsPartition:
     labels : 1-based group label per node (every node gets one).
     subgraphs : members of each group of size > 1, ascending, listed in
         label order.
+    representatives : the best-ranked member of each subgraph (highest
+        in-degree, ties to the lower index), aligned with ``subgraphs``.
     singletons : nodes whose group is just themselves, ascending.
     theta : threshold the partition was mined at.
     """
 
     labels: np.ndarray
     subgraphs: list[list[int]]
+    representatives: list[int]
     singletons: list[int]
     theta: float
 
@@ -69,8 +73,9 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     Edge weights are normalized by the largest absolute weight in the graph;
     an edge participates iff its normalized absolute weight is >= ``theta``.
     The groups are the weakly connected components of the participating
-    edges.  Nodes rank by decreasing in-degree (ties to the lower index), and
-    groups are labelled 1, 2, ... in the order of their best-ranked member.
+    edges.  Nodes rank by decreasing in-degree (ties to the lower index),
+    groups are labelled 1, 2, ... in the order of their best-ranked member,
+    and that member is the subgraph's representative.
     """
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
@@ -83,12 +88,14 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     seeds = np.lexsort((np.arange(graph.n_nodes), -graph.in_degrees()))
     _, best_rank = np.unique(component[seeds], return_index=True)
     labels = np.argsort(np.argsort(best_rank))[component] + 1
+    best = seeds[np.sort(best_rank)]  # best-ranked member per label
 
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(labels)[1:])[:-1])
+    sizes = np.bincount(labels)[1:]
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
     subgraphs = [g.tolist() for g in groups if g.size > 1]
-    singletons = sorted(int(g[0]) for g in groups if g.size == 1)
-    return LcsPartition(labels, subgraphs, singletons, float(theta))
+    representatives = best[sizes > 1].tolist()
+    singletons = np.sort(best[sizes == 1]).tolist()
+    return LcsPartition(labels, subgraphs, representatives, singletons, float(theta))
 
 
 def select_representatives(
@@ -96,26 +103,23 @@ def select_representatives(
     graph: SparseFeatureGraph,
     keep_singletons: bool = True,
 ) -> ReducedFeatureSet:
-    """Pick one representative per subgraph: its highest in-degree member.
+    """Keep each subgraph's representative, ``partition.representatives``.
 
     The representative is the member most other features lean on (in-degree
     in the full graph, ties to the lower index).  Singleton nodes carry no
-    redundancy and are kept unless ``keep_singletons`` is False.
+    redundancy and are kept unless ``keep_singletons`` is False; ``graph``
+    supplies the node count.
     """
-    in_deg = graph.in_degrees()
-    kept: list[int] = []
-    representative_of: dict[int, int] = {}
-    for pos, members in enumerate(partition.subgraphs):
-        rep = min(members, key=lambda i: (-int(in_deg[i]), i))
-        representative_of[pos] = rep
-        kept.append(rep)
+    kept = list(partition.representatives)
     if keep_singletons:
         kept.extend(partition.singletons)
     kept_arr = np.array(sorted(kept), dtype=np.intp)
     mask = np.ones(graph.n_nodes, dtype=bool)
     mask[kept_arr] = False
     dropped = np.flatnonzero(mask).astype(np.intp)
-    return ReducedFeatureSet(kept_arr, dropped, representative_of)
+    return ReducedFeatureSet(
+        kept_arr, dropped, dict(enumerate(partition.representatives))
+    )
 
 
 def reduce_matrix(features: FeatureMatrix, reduced: ReducedFeatureSet) -> FeatureMatrix:

@@ -62,9 +62,6 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
     def subset(self, indices) -> "FeatureMatrix":
         """Return a new matrix holding the given columns, in the given order."""
         idx = np.asarray(indices, dtype=np.intp)

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,11 @@ from .sfg import angle_histogram, build_sfg, filter_failed
 __all__ = ["PipelineConfig", "run_pipeline", "render_report"]
 
 DEFAULT_THETAS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
+# One sweep record per theta, keys in report order; a failed theta keeps None
+# for every value it did not reach.
+_SWEEP_RECORD = dict.fromkeys(
+    ("theta", "retained", "subgraphs", "singletons", "nmi", "acc", "error")
+)
 
 
 @dataclass
@@ -82,18 +87,11 @@ class PipelineConfig:
             raise ParameterError(f"angle_bins must be at least 1, got {self.angle_bins}")
 
     def as_dict(self) -> dict:
-        return {
-            "k_clusters": self.k_clusters,
-            "epsilon": self.epsilon,
-            "max_angle_deg": self.max_angle_deg,
-            "thetas": list(self.thetas),
-            "mcfs_counts": list(self.mcfs_counts),
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "drop_singletons": self.drop_singletons,
-            "invert_angle_filter": self.invert_angle_filter,
-            "angle_bins": self.angle_bins,
-        }
+        """The report's config record: every field but ``n_jobs``, which does
+        not change results, with tuples as lists."""
+        record = asdict(self)
+        del record["n_jobs"]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in record.items()}
 
 
 @contextmanager
@@ -200,7 +198,7 @@ def run_pipeline(
     ]
     with _stage("sweep", timings):
         for theta in config.thetas:
-            record: dict = {"theta": theta}
+            record = dict(_SWEEP_RECORD, theta=theta)
             try:
                 partition = find_lcs(filtered, theta)
                 reduction = select_representatives(
@@ -215,14 +213,8 @@ def run_pipeline(
                 emb, _, record["nmi"], record["acc"] = cluster_scores(
                     reduced, labels, *clustering
                 )
-                record["error"] = None
                 reduced_inputs.append((theta, reduced, emb))
             except SfgraphError as exc:
-                record.setdefault("retained", None)
-                record.setdefault("subgraphs", None)
-                record.setdefault("singletons", None)
-                record["nmi"] = None
-                record["acc"] = None
                 record["error"] = str(exc)
             sweep.append(record)
 

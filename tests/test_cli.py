@@ -2,12 +2,14 @@
 
 import json
 import locale
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfgraph import NumericalError, load_csv, load_sfg
-from sfgraph.cli import main
+from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg
+from sfgraph.cli import _read_config_file, main
 
 
 def _make_dataset(tmp_path, **kwargs):
@@ -242,7 +244,17 @@ def test_pipeline_writes_all_report_files(tmp_path, capsys):
     assert report["config"]["mcfs_counts"] == [3]
 
 
-def test_pipeline_config_file_with_flag_override(tmp_path):
+@pytest.mark.parametrize(
+    "flags, thetas",
+    [
+        (["--seed", "1"], [0.9, 0.5]),
+        (["--seed=1"], [0.9, 0.5]),
+        (["--se", "1"], [0.9, 0.5]),
+        (["--seed", "1", "--theta", "0.7"], [0.7]),  # replaces, not appends
+    ],
+    ids=["flag", "flag-equals", "abbreviated", "list-flag"],
+)
+def test_pipeline_config_file_with_flag_override(tmp_path, flags, thetas):
     data, labels = _make_dataset(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -259,14 +271,12 @@ def test_pipeline_config_file_with_flag_override(tmp_path):
         + "\n"
     )
     out = tmp_path / "cfg_run"
-    code = main(
-        ["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]
-    )
+    code = main(["pipeline", "--config", str(cfg), *flags, "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["seed"] == 1  # flag beats file
+    assert report["config"]["seed"] == 1  # any accepted spelling beats the file
     assert report["config"]["restarts"] == 4  # file fills the gap
-    assert report["config"]["thetas"] == [0.9, 0.5]
+    assert report["config"]["thetas"] == thetas
 
 
 def test_pipeline_rejects_unknown_config_key(tmp_path):
@@ -281,12 +291,21 @@ def test_pipeline_rejects_unknown_config_key(tmp_path):
 def test_pipeline_bad_config_value_names_key_and_line(tmp_path, capsys):
     data, _ = _make_dataset(tmp_path)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"input = {data}\nk = three\n")
     out = tmp_path / "never"
-    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "line 2" in err and "'k'" in err
-    assert not out.exists()
+    for bad, key in (("k = three", "'k'"), ("drop_singletons = ture", "'drop_singletons'")):
+        cfg.write_text(f"input = {data}\n{bad}\n")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and key in err
+        assert not out.exists()
+
+
+def test_config_booleans_accept_any_case(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for raw, expected in (("TRUE", True), ("Yes", True), ("1", True),
+                          ("False", False), ("no", False), ("0", False)):
+        cfg.write_text(f"drop_singletons = {raw}\n")
+        assert _read_config_file(cfg) == {"drop_singletons": expected}, raw
 
 
 def test_pipeline_require_labels_fails_before_computation(tmp_path):
@@ -437,6 +456,21 @@ def test_reader_rejects_latin1_bytes(tmp_path, monkeypatch, capsys, name, conten
     assert main(argv + [name]) == 2
     err = capsys.readouterr().err
     assert f"{name}: not valid utf-8 text" in err
+
+
+def test_error_exit_codes_match_the_readme_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines():
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        if cells[0].isdigit():
+            for name in re.findall(r"`(\w+Error)`", cells[-1]):
+                documented[name] = int(cells[0])
+    classes = {cls.__name__: cls for cls in SfgraphError.__subclasses__()}
+    assert set(documented) == set(classes) | {"OSError"}
+    for name, cls in classes.items():
+        assert cls.exit_code == documented[name], name
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):

@@ -12,11 +12,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import eigsh
 
 from sfgraph import (
     DataError,
     DimensionError,
     FeatureMatrix,
+    NumericalError,
     ParameterError,
     SynthSpec,
     acc,
@@ -202,6 +205,43 @@ def test_embedding_validates_inputs():
     isolated[2, 2] = 0.0  # no similarity mass anywhere in row 2
     with pytest.raises(DataError):
         spectral_embedding(type("S", (), {"weights": isolated})(), 2)
+
+
+def _iterative_branch(monkeypatch, n):
+    """Send spectral_embedding of n samples down the iterative eigensolver."""
+    monkeypatch.setattr("sfgraph.evaluate.DENSE_EIGEN_LIMIT", n - 1)
+
+
+def test_iterative_eigensolver_matches_the_dense_one(monkeypatch):
+    sim = gaussian_similarity(np.random.default_rng(18).normal(size=(60, 3)))
+    dense = spectral_embedding(sim, 4)
+    calls = []
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    _iterative_branch(monkeypatch, 60)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+    iterative = spectral_embedding(sim, 4)
+    assert calls == [1]
+    assert np.min(np.diff(dense.eigenvalues)) > 1e-3  # vectors are well defined
+    np.testing.assert_allclose(iterative.eigenvalues, dense.eigenvalues, atol=1e-8)
+    np.testing.assert_allclose(iterative.vectors, dense.vectors, atol=1e-6)
+
+
+def test_iterative_eigensolver_non_convergence_is_a_numerical_error(monkeypatch):
+    sim = gaussian_similarity(np.random.default_rng(19).normal(size=(30, 3)))
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(1), np.zeros((30, 1))
+        )
+
+    _iterative_branch(monkeypatch, 30)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="1 of 3 eigenpairs"):
+        spectral_embedding(sim, 3)
 
 
 # --------------------------------------------------------------------------
@@ -408,9 +448,10 @@ def test_mcfs_selection_is_top_m_by_score():
 
 def test_mcfs_support_cap_bounds_row_sparsity():
     normalized, emb, _ = _informative_fixture(seed=2)
-    result = mcfs_select(normalized, emb, 4, support_cap=2)
-    nonzero_per_row = (result.coefficients != 0.0).sum(axis=1)
-    assert np.all(nonzero_per_row <= 2)
+    for m in (1, 2, 4):
+        result = mcfs_select(normalized, emb, m)
+        nonzero_per_row = (result.coefficients != 0.0).sum(axis=1)
+        assert np.all(nonzero_per_row <= m)
 
 
 def test_mcfs_finds_the_informative_features():
@@ -438,8 +479,6 @@ def test_mcfs_validates_inputs():
     for bad in (0, normalized.n_features + 1):
         with pytest.raises(ParameterError):
             mcfs_select(normalized, emb, bad)
-    with pytest.raises(ParameterError):
-        mcfs_select(normalized, emb, 3, support_cap=0)
     short = FeatureMatrix(np.eye(5))
     with pytest.raises(DimensionError):
         mcfs_select(short, emb, 2)

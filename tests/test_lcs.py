@@ -201,6 +201,27 @@ def test_representative_is_highest_in_degree_lowest_index():
     assert reduced.dropped.tolist() == [1, 3]
 
 
+def test_representatives_match_max_in_degree_lowest_index_oracle():
+    # integer weights from a small range give many tied in-degrees
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        d = int(rng.integers(2, 14))
+        mask = rng.random(size=(d, d)) < 0.3
+        np.fill_diagonal(mask, False)
+        dense = np.where(mask, rng.integers(1, 4, size=(d, d)), 0).astype(float)
+        graph = SparseFeatureGraph(sp.csr_matrix(dense), frozenset())
+        in_deg = mask.sum(axis=0)
+        for theta in (0.3, 0.6, 1.0):
+            partition = find_lcs(graph, theta)
+            expected = [
+                max(members, key=lambda i: (in_deg[i], -i))
+                for members in partition.subgraphs
+            ]
+            assert partition.representatives == expected, (trial, theta)
+            reduced = select_representatives(partition, graph)
+            assert reduced.representative_of == dict(enumerate(expected))
+
+
 def test_drop_singletons():
     graph = _six_node_fixture()
     partition = find_lcs(graph, 0.5)

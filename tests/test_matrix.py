@@ -22,7 +22,7 @@ def test_matrix_coerces_to_fortran_float64():
     assert m.values.flags.f_contiguous
     assert m.n_samples == 3
     assert m.n_features == 2
-    np.testing.assert_array_equal(m.column(1), [2.0, 4.0, 6.0])
+    np.testing.assert_array_equal(m.values[:, 1], [2.0, 4.0, 6.0])
 
 
 def test_matrix_rejects_wrong_dimensionality():

@@ -58,7 +58,7 @@ def test_planted_mixture_support_contains_parents_with_ls_weights():
     # the edge weights to the true parents match a direct least-squares fit
     # of the mixture column on exactly those parents
     oracle, *_ = np.linalg.lstsq(
-        features.values[:, [1, 2]], features.column(4), rcond=None
+        features.values[:, [1, 2]], features.values[:, 4], rcond=None
     )
     got = dict(zip(dst.tolist(), weights))
     assert abs(got[1] - oracle[0]) <= 1e-6

@@ -35,8 +35,8 @@ def test_duplicates_are_exact_copies_cycling_through_base():
     matrix, _, truth = generate(spec)
     assert matrix.n_features == 4
     assert truth["duplicates"] == [[2, 0], [3, 1]]
-    np.testing.assert_array_equal(matrix.column(2), matrix.column(0))
-    np.testing.assert_array_equal(matrix.column(3), matrix.column(1))
+    np.testing.assert_array_equal(matrix.values[:, 2], matrix.values[:, 0])
+    np.testing.assert_array_equal(matrix.values[:, 3], matrix.values[:, 1])
     # cycling wraps around when there are more pairs than base features
     spec = SynthSpec(n_samples=12, base_features=2, duplicate_pairs=3, seed=1)
     _, _, truth = generate(spec)
@@ -106,7 +106,7 @@ def test_mixtures_are_convex_combinations_of_their_parents():
         assert abs(weights.sum() - 1.0) < 1e-12
         assert 2 <= len(record["parents"]) <= 4
         signal = matrix.values[:, record["parents"]] @ weights
-        column = matrix.column(record["index"])
+        column = matrix.values[:, record["index"]]
         rel_err = np.linalg.norm(column - signal) / np.linalg.norm(signal)
         assert rel_err < 5e-3  # noise scale is 1e-3 relative to the signal
 
@@ -118,7 +118,7 @@ def test_noiseless_mixtures_are_exact():
     matrix, _, truth = generate(spec)
     for record in truth["mixtures"]:
         signal = matrix.values[:, record["parents"]] @ np.asarray(record["weights"])
-        np.testing.assert_array_equal(matrix.column(record["index"]), signal)
+        np.testing.assert_array_equal(matrix.values[:, record["index"]], signal)
 
 
 def test_labels_are_balanced():
