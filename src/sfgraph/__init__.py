@@ -30,7 +30,6 @@ from .evaluate import (
 )
 from .lcs import (
     LcsPartition,
-    ReducedFeatureSet,
     find_lcs,
     reduce_matrix,
     save_partition,
@@ -92,7 +91,6 @@ __all__ = [
     "load_sfg",
     # subgraphs
     "LcsPartition",
-    "ReducedFeatureSet",
     "find_lcs",
     "select_representatives",
     "reduce_matrix",

@@ -130,13 +130,11 @@ def cmd_sfg(args) -> int:
 def cmd_lcs(args) -> int:
     graph = load_sfg(args.graph)
     partition = find_lcs(graph, args.theta)
-    reduction = select_representatives(
-        partition, graph, keep_singletons=not args.drop_singletons
-    )
-    save_partition(partition, reduction, args.out)
+    kept = select_representatives(partition, args.drop_singletons)
+    save_partition(partition, args.out)
     print(
         f"theta={args.theta}: {len(partition.subgraphs)} subgraphs, "
-        f"{len(partition.singletons)} singletons, keep {reduction.kept.size} "
+        f"{len(partition.singletons)} singletons, keep {kept.size} "
         f"of {graph.n_nodes} -> {args.out}"
     )
     return 0
@@ -151,10 +149,8 @@ def cmd_reduce(args) -> int:
             f"{features.n_features} features"
         )
     partition = find_lcs(graph, args.theta)
-    reduction = select_representatives(
-        partition, graph, keep_singletons=not args.drop_singletons
-    )
-    reduced = reduce_matrix(features, reduction)
+    kept = select_representatives(partition, args.drop_singletons)
+    reduced = reduce_matrix(features, kept)
     save_csv(args.out, reduced)
     print(
         f"kept {reduced.n_features} of {features.n_features} features -> {args.out}"

@@ -38,6 +38,10 @@ __all__ = [
 # Above this many samples the dense symmetric eigensolver is replaced by an
 # iterative one.
 DENSE_EIGEN_LIMIT = 4000
+# Lloyd iterations stop after KMEANS_MAX_ITER rounds or once the objective
+# improves by at most KMEANS_REL_TOL of its previous value.
+KMEANS_MAX_ITER = 300
+KMEANS_REL_TOL = 1e-6
 # Threshold used by the sparse-regression scorer; effectively "run until m
 # atoms", since coefficient paths are cut by cardinality, not residual.
 MCFS_EPSILON = 1e-12
@@ -187,13 +191,11 @@ def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _lloyd(
-    x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, rel_tol: float
-) -> KMeansResult:
+def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
     centers = _plus_plus_init(x, k, rng)
     trace: list[float] = []
     labels = np.zeros(x.shape[0], dtype=np.int64)
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         d2 = _squared_distances(x, centers)
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=k)
@@ -214,19 +216,12 @@ def _lloyd(
         trace.append(objective)
         if it > 0:
             prev = trace[-2]
-            if prev == 0.0 or abs(prev - objective) <= rel_tol * prev:
+            if prev == 0.0 or abs(prev - objective) <= KMEANS_REL_TOL * prev:
                 break
     return KMeansResult(labels, centers, trace[-1], np.asarray(trace), len(trace))
 
 
-def kmeans(
-    points,
-    k: int,
-    seed: int = 0,
-    restarts: int = 10,
-    max_iter: int = 300,
-    rel_tol: float = 1e-6,
-) -> KMeansResult:
+def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     """Restarted Lloyd k-means with spread-out seeding.
 
     Runs ``restarts`` independent fits from deterministic per-restart RNG
@@ -244,7 +239,7 @@ def kmeans(
     best: KMeansResult | None = None
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])
-        result = _lloyd(x, k, rng, max_iter, rel_tol)
+        result = _lloyd(x, k, rng)
         if best is None or result.inertia < best.inertia:
             best = result
     return best
@@ -281,9 +276,12 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def _contingency(labels_a, labels_b) -> np.ndarray:
-    """Sample counts per (id in a, id in b) pair, ids in ascending order."""
-    a = np.asarray(labels_a).reshape(-1).astype(np.int64)
-    b = np.asarray(labels_b).reshape(-1).astype(np.int64)
+    """Sample counts per (id in a, id in b) pair, ids in ascending order.
+
+    Ids are categories: any values ``np.unique`` can sort, compared exactly.
+    """
+    a = np.asarray(labels_a).reshape(-1)
+    b = np.asarray(labels_b).reshape(-1)
     if a.size == 0 or b.size == 0:
         raise DimensionError("label vector is empty")
     if a.shape[0] != b.shape[0]:

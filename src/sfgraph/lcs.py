@@ -11,6 +11,8 @@ that thresholded graph with edge direction ignored.  Nodes rank by decreasing
 in-degree with ties to the lower index.  Groups are numbered in the order of
 their best-ranked member, and that member is the group's representative,
 recorded in ``LcsPartition.representatives``; neither affects membership.
+The partition fixes the reduction: each subgraph keeps its representative,
+and singletons are kept unless dropped.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .sfg import SparseFeatureGraph
 
 __all__ = [
     "LcsPartition",
-    "ReducedFeatureSet",
     "find_lcs",
     "select_representatives",
     "reduce_matrix",
@@ -52,19 +53,6 @@ class LcsPartition:
     representatives: list[int]
     singletons: list[int]
     theta: float
-
-
-@dataclass
-class ReducedFeatureSet:
-    """Outcome of collapsing each subgraph to one representative.
-
-    kept / dropped partition the node set; ``representative_of`` maps the
-    position of a subgraph in the partition's list to the member kept for it.
-    """
-
-    kept: np.ndarray
-    dropped: np.ndarray
-    representative_of: dict[int, int]
 
 
 def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
@@ -99,46 +87,37 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
 
 
 def select_representatives(
-    partition: LcsPartition,
-    graph: SparseFeatureGraph,
-    keep_singletons: bool = True,
-) -> ReducedFeatureSet:
-    """Keep each subgraph's representative, ``partition.representatives``.
+    partition: LcsPartition, drop_singletons: bool = False
+) -> np.ndarray:
+    """Ascending indices of the features the partition keeps.
 
-    The representative is the member most other features lean on (in-degree
-    in the full graph, ties to the lower index).  Singleton nodes carry no
-    redundancy and are kept unless ``keep_singletons`` is False; ``graph``
-    supplies the node count.
+    Each subgraph keeps its representative, ``partition.representatives``:
+    the member most other features lean on (in-degree in the full graph, ties
+    to the lower index).  Singleton nodes carry no redundancy and are kept
+    unless ``drop_singletons`` is True.
     """
-    kept = list(partition.representatives)
-    if keep_singletons:
-        kept.extend(partition.singletons)
-    kept_arr = np.array(sorted(kept), dtype=np.intp)
-    mask = np.ones(graph.n_nodes, dtype=bool)
-    mask[kept_arr] = False
-    dropped = np.flatnonzero(mask).astype(np.intp)
-    return ReducedFeatureSet(
-        kept_arr, dropped, dict(enumerate(partition.representatives))
-    )
+    kept = partition.representatives
+    if not drop_singletons:
+        kept = kept + partition.singletons
+    return np.array(sorted(kept), dtype=np.intp)
 
 
-def reduce_matrix(features: FeatureMatrix, reduced: ReducedFeatureSet) -> FeatureMatrix:
-    """Column subset of the matrix holding only the kept features, in order."""
-    if reduced.kept.size and int(reduced.kept.max()) >= features.n_features:
+def reduce_matrix(features: FeatureMatrix, kept: np.ndarray) -> FeatureMatrix:
+    """Column subset of the matrix holding only the ``kept`` features, in order."""
+    if kept.size and int(kept.max()) >= features.n_features:
         raise ParameterError(
-            f"kept index {int(reduced.kept.max())} out of range for "
+            f"kept index {int(kept.max())} out of range for "
             f"{features.n_features} features"
         )
-    return features.subset(reduced.kept)
+    return features.subset(kept)
 
 
-def save_partition(partition: LcsPartition, reduced: ReducedFeatureSet, path) -> None:
+def save_partition(partition: LcsPartition, path) -> None:
     """Write the partition as text: one line per subgraph, representative
     first and remaining members ascending; one ``S:<index>`` line per
     singleton."""
     with open(path, "w") as fh:
-        for pos, members in enumerate(partition.subgraphs):
-            rep = reduced.representative_of[pos]
+        for rep, members in zip(partition.representatives, partition.subgraphs):
             rest = [i for i in members if i != rep]
             fh.write(",".join(str(i) for i in [rep] + rest) + "\n")
         for i in partition.singletons:

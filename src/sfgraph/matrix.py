@@ -224,8 +224,7 @@ def save_csv(path, matrix: FeatureMatrix) -> None:
         writer = csv.writer(fh)
         if matrix.feature_names is not None:
             writer.writerow(matrix.feature_names)
-        for row in matrix.values:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(matrix.values.tolist())
 
 
 def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray]:

@@ -127,18 +127,23 @@ def mcfs_records(
     """Clustering scores of the MCFS selection of each count of features.
 
     One record per count; its scores are None when the count exceeds the
-    number of features in ``matrix``.
+    number of features in ``matrix`` or when the selection fails, and a
+    failure's message is kept under ``error`` (None otherwise), as in the
+    sweep records.
     """
     records = []
     for m in counts:
         record = {"input_features": matrix.n_features, "selected": m}
-        record["nmi"] = record["acc"] = None
+        record["nmi"] = record["acc"] = record["error"] = None
         if m <= matrix.n_features:
-            chosen = mcfs_select(matrix, embedding, m)
-            picked = matrix.subset(np.sort(chosen.selected))
-            _, _, record["nmi"], record["acc"] = cluster_scores(
-                picked, labels, k, seed, restarts
-            )
+            try:
+                chosen = mcfs_select(matrix, embedding, m)
+                picked = matrix.subset(np.sort(chosen.selected))
+                _, _, record["nmi"], record["acc"] = cluster_scores(
+                    picked, labels, k, seed, restarts
+                )
+            except SfgraphError as exc:
+                record["error"] = str(exc)
         records.append(record)
     return records
 
@@ -201,13 +206,9 @@ def run_pipeline(
             record = dict(_SWEEP_RECORD, theta=theta)
             try:
                 partition = find_lcs(filtered, theta)
-                reduction = select_representatives(
-                    partition,
-                    filtered,
-                    keep_singletons=not config.drop_singletons,
-                )
-                reduced = reduce_matrix(normalized, reduction)
-                record["retained"] = int(reduction.kept.size)
+                kept = select_representatives(partition, config.drop_singletons)
+                reduced = reduce_matrix(normalized, kept)
+                record["retained"] = int(kept.size)
                 record["subgraphs"] = len(partition.subgraphs)
                 record["singletons"] = len(partition.singletons)
                 emb, _, record["nmi"], record["acc"] = cluster_scores(

@@ -15,6 +15,7 @@ features' valid representations.
 
 from __future__ import annotations
 
+import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,12 +69,6 @@ class SparseFeatureGraph:
         """Number of stored (nonzero) edges pointing at each node."""
         csc = self.weights.tocsc()
         return np.diff(csc.indptr).astype(np.int64)
-
-    def out_edges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(destination indices, weights) of node i's out-edges."""
-        row = self.weights
-        lo, hi = row.indptr[i], row.indptr[i + 1]
-        return row.indices[lo:hi].astype(np.intp), row.data[lo:hi]
 
     def max_abs_weight(self) -> float:
         return float(np.max(np.abs(self.weights.data))) if self.weights.nnz else 0.0
@@ -226,15 +221,16 @@ def save_sfg(graph: SparseFeatureGraph, path) -> None:
 
     First line: ``# sfg d=<nodes> failed=<comma-separated indices>``.
     Then one ``src<TAB>dst<TAB>weight`` line per edge, row-major, with
-    full-precision weights (they survive a round-trip bit-exactly).
+    full-precision weights (they survive a round-trip bit-exactly).  The
+    weights' sorted CSR indices make their COO form row-major already.
     """
     failed = ",".join(str(i) for i in sorted(graph.failed_nodes))
     coo = graph.weights.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     with open(path, "w") as fh:
         fh.write(f"# sfg d={graph.n_nodes} failed={failed}\n")
-        for k in order:
-            fh.write(f"{coo.row[k]}\t{coo.col[k]}\t{float(coo.data[k])!r}\n")
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
+            zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+        )
 
 
 def load_sfg(path) -> SparseFeatureGraph:

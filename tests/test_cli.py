@@ -216,6 +216,7 @@ def test_eval_mcfs_explicit_counts(tmp_path):
     payload = json.loads(out.read_text())
     assert [rec["selected"] for rec in payload["records"]] == [2, 4]
     assert all(rec["nmi"] is not None for rec in payload["records"])
+    assert all(rec["error"] is None for rec in payload["records"])
 
 
 def test_pipeline_writes_all_report_files(tmp_path, capsys):

@@ -398,6 +398,16 @@ def test_acc_handles_different_id_counts():
     assert acc([0, 0, 0, 0], [0, 1, 2, 0]) == 0.5
 
 
+def test_metrics_treat_label_values_as_categories():
+    # 0.2 and 0.7 are two ids, not 0 and 0 after truncation
+    ints = [0, 1, 1, 2, 0]
+    for other in ([0.2, 0.7, 0.7, 1.5, 0.2], ["a", "b", "b", "c", "a"]):
+        assert nmi(ints, other) == 1.0
+        assert acc(ints, other) == 1.0
+        assert nmi(other, ints) == 1.0
+        assert acc(other, ints) == 1.0
+
+
 def test_metrics_validate_shapes():
     with pytest.raises(DimensionError):
         nmi([0, 1], [0, 1, 2])

@@ -117,9 +117,8 @@ def test_edge_free_graph_is_all_singletons():
     partition = find_lcs(graph, 0.5)
     assert partition.subgraphs == []
     assert partition.singletons == [0, 1, 2, 3, 4]
-    reduced = select_representatives(partition, graph)
-    assert reduced.kept.tolist() == [0, 1, 2, 3, 4]
-    assert reduced.dropped.size == 0
+    assert select_representatives(partition).tolist() == [0, 1, 2, 3, 4]
+    assert select_representatives(partition, drop_singletons=True).size == 0
 
 
 def test_theta_domain():
@@ -161,8 +160,7 @@ def test_lower_theta_only_coarsens_the_partition():
         previous_groups = None
         for theta in (0.9, 0.7, 0.5, 0.3, 0.1):
             partition = find_lcs(graph, theta)
-            reduced = select_representatives(partition, graph)
-            kept = reduced.kept.size
+            kept = select_representatives(partition).size
             if previous_kept is not None:
                 assert kept <= previous_kept
                 # every earlier group sits inside one current group
@@ -182,23 +180,20 @@ def test_kept_count_identity():
         dense = np.where(mask, rng.uniform(-1.0, 1.0, size=(d, d)), 0.0)
         graph = SparseFeatureGraph(sp.csr_matrix(dense), frozenset())
         partition = find_lcs(graph, 0.4)
-        reduced = select_representatives(partition, graph)
+        kept = select_representatives(partition)
         removed = sum(len(g) - 1 for g in partition.subgraphs)
-        assert reduced.kept.size == d - removed
-        assert reduced.dropped.size == removed
-        assert sorted(reduced.kept.tolist() + reduced.dropped.tolist()) == list(range(d))
+        assert kept.size == d - removed
+        assert kept.dtype == np.intp
+        assert np.all(np.diff(kept) > 0)  # ascending and unique
 
 
 def test_representative_is_highest_in_degree_lowest_index():
     graph = _six_node_fixture()
     partition = find_lcs(graph, 0.5)
-    reduced = select_representatives(partition, graph)
     # group [0, 1]: in-degrees 2 vs 1 -> 0 wins
-    assert reduced.representative_of[0] == 0
     # group [2, 3]: in-degrees tie at 1 -> lower index wins
-    assert reduced.representative_of[1] == 2
-    assert reduced.kept.tolist() == [0, 2, 4, 5]
-    assert reduced.dropped.tolist() == [1, 3]
+    assert partition.representatives == [0, 2]
+    assert select_representatives(partition).tolist() == [0, 2, 4, 5]
 
 
 def test_representatives_match_max_in_degree_lowest_index_oracle():
@@ -218,16 +213,17 @@ def test_representatives_match_max_in_degree_lowest_index_oracle():
                 for members in partition.subgraphs
             ]
             assert partition.representatives == expected, (trial, theta)
-            reduced = select_representatives(partition, graph)
-            assert reduced.representative_of == dict(enumerate(expected))
+            kept = select_representatives(partition)
+            assert kept.tolist() == sorted(expected + partition.singletons)
+            kept = select_representatives(partition, drop_singletons=True)
+            assert kept.tolist() == sorted(expected)
 
 
 def test_drop_singletons():
     graph = _six_node_fixture()
     partition = find_lcs(graph, 0.5)
-    reduced = select_representatives(partition, graph, keep_singletons=False)
-    assert reduced.kept.tolist() == [0, 2]
-    assert reduced.dropped.tolist() == [1, 3, 4, 5]
+    kept = select_representatives(partition, drop_singletons=True)
+    assert kept.tolist() == [0, 2]
 
 
 def test_pairwise_duplicates_keep_one_member_each():
@@ -240,11 +236,11 @@ def test_pairwise_duplicates_keep_one_member_each():
     graph = _graph(50, edges)
     partition = find_lcs(graph, 0.5)
     assert len(partition.subgraphs) == 10
-    reduced = select_representatives(partition, graph)
-    assert reduced.kept.size == 40
+    kept = select_representatives(partition)
+    assert kept.size == 40
     for t in range(10):
         pair = {t, 20 + t}
-        assert len(pair & set(reduced.kept.tolist())) == 1
+        assert len(pair & set(kept.tolist())) == 1
 
 
 def test_reduce_matrix_picks_kept_columns():
@@ -252,10 +248,10 @@ def test_reduce_matrix_picks_kept_columns():
     features = FeatureMatrix(rng.normal(size=(8, 6)), feature_names=list("abcdef"))
     graph = _graph(6, [(0, 1, 1.0), (1, 0, 1.0)])
     partition = find_lcs(graph, 0.9)
-    reduced = select_representatives(partition, graph)
-    out = reduce_matrix(features, reduced)
+    kept = select_representatives(partition)
+    out = reduce_matrix(features, kept)
     assert out.n_features == 5
-    np.testing.assert_array_equal(out.values, features.values[:, reduced.kept])
+    np.testing.assert_array_equal(out.values, features.values[:, kept])
 
 
 def test_reduce_matrix_range_check():
@@ -263,16 +259,20 @@ def test_reduce_matrix_range_check():
     features = FeatureMatrix(rng.normal(size=(4, 3)))
     graph = _graph(6, [(0, 1, 1.0)])
     partition = find_lcs(graph, 0.9)
-    reduced = select_representatives(partition, graph)
+    kept = select_representatives(partition)
     with pytest.raises(ParameterError):
-        reduce_matrix(features, reduced)
+        reduce_matrix(features, kept)
 
 
 def test_save_partition_format(tmp_path):
     graph = _six_node_fixture()
     partition = find_lcs(graph, 0.5)
-    reduced = select_representatives(partition, graph)
     path = tmp_path / "partition.txt"
-    save_partition(partition, reduced, path)
+    save_partition(partition, path)
     lines = path.read_text().splitlines()
     assert lines == ["0,1", "2,3", "S:4", "S:5"]
+    # each representative leads its line: node 2 (in-degree 2) ranks its
+    # group first, and node 1 outranks node 0 in the other
+    partition = find_lcs(_graph(6, [(0, 1, 1.0), (3, 2, 1.0), (4, 2, 1.0)]), 0.5)
+    save_partition(partition, path)
+    assert path.read_text().splitlines() == ["2,3,4", "1,0", "S:5"]

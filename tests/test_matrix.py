@@ -145,6 +145,16 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.values, original.values)
 
 
+def test_save_csv_writes_shortest_round_trip_floats(tmp_path):
+    values = np.array([[-0.0, 0.1], [1e22, 5e-324]])
+    path = tmp_path / "named.csv"
+    save_csv(path, FeatureMatrix(values, feature_names=["a", "b"]))
+    assert path.read_bytes() == b"a,b\r\n-0.0,0.1\r\n1e+22,5e-324\r\n"
+    path = tmp_path / "plain.csv"
+    save_csv(path, FeatureMatrix(values))
+    assert path.read_bytes() == b"-0.0,0.1\r\n1e+22,5e-324\r\n"
+
+
 def test_load_labels(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n1\n\n2\n")

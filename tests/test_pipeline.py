@@ -115,6 +115,24 @@ def test_per_theta_failure_is_recorded_and_the_run_continues():
     assert report["baseline"]["nmi"] is not None
 
 
+def test_failed_mcfs_selection_is_recorded_and_the_run_continues():
+    # the matrix above: a selection of constant columns alone leaves every
+    # sample identical, so that count fails while the others score
+    rng = np.random.default_rng(4)
+    constant = np.ones(20)
+    cols = np.column_stack([constant, constant, constant, rng.normal(size=20)])
+    labels = rng.integers(0, 2, size=20)
+    config = _config(k_clusters=2, thetas=(0.5,), mcfs_counts=(1, 2))
+    report = run_pipeline(FeatureMatrix(cols), labels, config)
+    grid = report["mcfs"]
+    assert grid
+    for rec in grid:
+        scored = rec["nmi"] is not None and rec["acc"] is not None
+        failed = rec["error"] is not None and rec["nmi"] is None and rec["acc"] is None
+        assert scored != failed, rec
+    assert any(rec["error"] is not None for rec in grid)
+
+
 def test_mcfs_grid_runs_on_baseline_and_reduced_inputs():
     matrix, labels, _ = _synth_dataset(seed=5)
     config = _config(thetas=(0.9, 0.5), mcfs_counts=(2, 4))

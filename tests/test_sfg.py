@@ -52,7 +52,7 @@ def test_planted_mixture_support_contains_parents_with_ls_weights():
     mix = 0.6 * base[:, 1] + 0.4 * base[:, 2] + 1e-8 * rng.normal(size=30)
     features = FeatureMatrix(_unit_columns(np.column_stack([base, mix])))
     graph = build_sfg(features, OmpConfig(epsilon=1e-6))
-    dst, weights = graph.out_edges(4)
+    dst, weights = graph.weights[4].indices, graph.weights[4].data
     support = set(dst.tolist())
     assert {1, 2} <= support
     # the edge weights to the true parents match a direct least-squares fit
@@ -72,8 +72,7 @@ def test_zero_norm_feature_fails_at_build_and_is_never_an_atom():
     cols = np.column_stack([cols, np.zeros(10)])
     graph = build_sfg(FeatureMatrix(cols))
     assert graph.failed_nodes == frozenset({3})
-    dst3, _ = graph.out_edges(3)
-    assert dst3.size == 0
+    assert graph.weights[3].indices.size == 0
     incoming = graph.weights.tocsc()[:, 3]
     assert incoming.nnz == 0
 
@@ -158,7 +157,7 @@ def _loop_angles(graph, features):
     values = features.values
     angles = np.full(graph.n_nodes, np.nan)
     for i in range(graph.n_nodes):
-        dst, w = graph.out_edges(i)
+        dst, w = graph.weights[i].indices, graph.weights[i].data
         if dst.size == 0:
             continue
         recon = values[:, dst] @ w
@@ -227,11 +226,9 @@ def test_filter_rejects_large_and_undefined_angles_keeps_in_edges():
     features, graph = _angle_fixture()
     filtered = filter_failed(graph, features, np.deg2rad(15.0))
     assert filtered.failed_nodes == frozenset({2, 3})
-    dst2, _ = filtered.out_edges(2)
-    assert dst2.size == 0
+    assert filtered.weights[2].indices.size == 0
     # node 1 survives and keeps its edge into the failed node 2
-    dst1, _ = filtered.out_edges(1)
-    assert 2 in dst1.tolist()
+    assert 2 in filtered.weights[1].indices.tolist()
 
 
 def test_filter_is_idempotent():
@@ -250,8 +247,7 @@ def test_filter_invert_flag_rejects_small_angles_instead():
     # angle-0 and angle-6.34deg nodes fail, the pi/2 node survives,
     # undefined still fails
     assert filtered.failed_nodes == frozenset({0, 1, 3})
-    dst2, _ = filtered.out_edges(2)
-    assert dst2.size == 1
+    assert filtered.weights[2].indices.size == 1
 
 
 def test_filter_threshold_domain():
@@ -325,6 +321,19 @@ def test_save_load_round_trip_preserves_graph_exactly(tmp_path):
         np.testing.assert_array_equal(loaded.weights.indptr, graph.weights.indptr)
         np.testing.assert_array_equal(loaded.weights.indices, graph.weights.indices)
         np.testing.assert_array_equal(loaded.weights.data, graph.weights.data)
+
+
+def test_save_sfg_writes_row_major_edges_with_shortest_round_trip_weights(tmp_path):
+    # row 0's columns arrive unsorted, and the -0.0 weight is no edge
+    weights = sp.csr_matrix(
+        (np.array([1e22, 0.1, -0.0, 5e-324]), np.array([2, 1, 2, 0]), np.array([0, 2, 4, 4])),
+        shape=(3, 3),
+    )
+    path = tmp_path / "graph.tsv"
+    save_sfg(SparseFeatureGraph(weights, frozenset({2})), path)
+    assert path.read_bytes() == (
+        b"# sfg d=3 failed=2\n0\t1\t0.1\n0\t2\t1e+22\n1\t0\t5e-324\n"
+    )
 
 
 def test_load_rejects_missing_header(tmp_path):
