@@ -113,12 +113,7 @@ def cmd_sfg(args) -> int:
     if args.angles:
         hist = angle_histogram(graph, normalized, bins=args.bins)
         write_angles_csv(args.angles, hist.bin_edges, hist.counts, hist.overflow)
-    filtered = filter_failed(
-        graph,
-        normalized,
-        np.deg2rad(args.max_angle_deg),
-        invert=args.invert_angle_filter,
-    )
+    filtered = filter_failed(graph, normalized, np.deg2rad(args.max_angle_deg))
     save_sfg(filtered, args.out)
     print(
         f"graph: {filtered.n_nodes} nodes, {filtered.weights.nnz} edges, "
@@ -222,7 +217,6 @@ _CONFIG_KEYS = {
     "seed": int,
     "restarts": int,
     "drop_singletons": _config_bool,
-    "invert_angle_filter": _config_bool,
     "require_labels": _config_bool,
 }
 
@@ -288,7 +282,6 @@ def cmd_pipeline(args, argv) -> int:
         seed=args.seed,
         restarts=args.restarts,
         drop_singletons=args.drop_singletons,
-        invert_angle_filter=args.invert_angle_filter,
     )
     report = run_pipeline(features, labels, config)
     written = render_report(report, args.out)
@@ -349,7 +342,6 @@ def _add_pipeline_flags(p) -> None:
         "--m", type=int, action="append", default=None, help="selection grid size"
     )
     p.add_argument("--drop-singletons", action="store_true")
-    p.add_argument("--invert-angle-filter", action="store_true")
     _add_cluster_flags(p)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default="sfgraph-out", help="output directory")
@@ -376,7 +368,6 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p, with_labels=False)
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--max-angle-deg", type=float, default=15.0)
-    p.add_argument("--invert-angle-filter", action="store_true")
     p.add_argument("--angles", default=None, help="also write the angle histogram CSV")
     p.add_argument("--bins", type=int, default=18)
     p.add_argument("--out", required=True, help="output graph TSV")

@@ -103,10 +103,15 @@ def select_representatives(
 
 
 def reduce_matrix(features: FeatureMatrix, kept: np.ndarray) -> FeatureMatrix:
-    """Column subset of the matrix holding only the ``kept`` features, in order."""
-    if kept.size and int(kept.max()) >= features.n_features:
+    """Column subset of the matrix holding only the ``kept`` features, in order.
+
+    Every index must lie in ``[0, n_features)``; a negative one would
+    otherwise count from the end.
+    """
+    outside = (kept < 0) | (kept >= features.n_features)
+    if outside.any():
         raise ParameterError(
-            f"kept index {int(kept.max())} out of range for "
+            f"kept index {int(kept[outside][0])} out of range for "
             f"{features.n_features} features"
         )
     return features.subset(kept)

@@ -12,6 +12,13 @@ adapts to the target: targets that are (nearly) exact combinations of a few
 dictionary atoms get tiny supports, while unstructured targets keep only as
 many atoms as actually reduce the error.
 
+By default a fit stops after at most half as many atoms as the dictionary
+has rows, ⌊n/2⌋ (at least 1).  With fewer samples than atoms any target is an
+exact combination of about n atoms, so a fit that needs more than n/2 of them
+describes the span, not the target.  Stopped there, such a fit keeps a
+residual, and its reconstruction angle stays large enough for an angle
+filter to reject it; it also no longer pays for the longest, costliest fits.
+
 The solver grows an orthonormal basis Q of the support's span, with
 ``cols[:, support] = Q R``, by classical Gram-Schmidt applied twice, and
 removes each new basis direction from the residual in place.  The
@@ -46,6 +53,7 @@ DEPENDENCE_FLOOR = 1e-12
 STOP_CONVERGED = "converged"  # residual change fell to <= epsilon
 STOP_SUPPORT_LIMIT = "support_limit"  # reached the allowed support size
 STOP_NO_ATOM = "no_usable_atom"  # no remaining atom can make progress
+STOP_REASONS = (STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM)
 
 
 @dataclass
@@ -54,8 +62,12 @@ class OmpConfig:
 
     epsilon : threshold on the change of the squared residual norm between
         consecutive iterations; must be positive.
-    max_support : hard cap on the number of selected atoms (defaults to the
-        dictionary size when None).
+    max_support : hard cap on the number of selected atoms.  None (the
+        default) caps at ⌊n/2⌋ atoms (at least 1) for a dictionary of n
+        rows: when n is below the number of atoms, any target is an exact
+        combination of about n of them, and a fit that long carries no
+        information about the target.  The cap never exceeds the number of
+        usable atoms.
     """
 
     epsilon: float = 1e-6
@@ -99,7 +111,7 @@ def _greedy_fit(
     cols: np.ndarray,
     target: np.ndarray,
     epsilon: float,
-    max_support: int,
+    max_support: int | None = None,
     exclude: int | None = None,
     pre_banned: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray, list[float], str]:
@@ -107,12 +119,15 @@ def _greedy_fit(
 
     ``exclude`` masks one column (leave-one-out fits reuse the full matrix
     instead of copying it minus a column) and ``pre_banned`` marks columns
-    that must never be selected, e.g. zero-norm features.
+    that must never be selected, e.g. zero-norm features.  ``max_support``
+    None caps the support at ``max(1, n // 2)`` atoms (see ``OmpConfig``).
     """
     n, p = cols.shape
     banned = np.zeros(p, dtype=bool) if pre_banned is None else pre_banned.copy()
     if exclude is not None:
         banned[exclude] = True
+    if max_support is None:
+        max_support = max(1, n // 2)
     cap = min(max_support, p - int(banned.sum()))
 
     support: list[int] = []
@@ -210,8 +225,7 @@ def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresenta
             f"target is not unit-norm (norm {tnorm:.6g}); normalize it first"
         )
 
-    max_support = cols.shape[1] if cfg.max_support is None else cfg.max_support
-    support, coef, trace, reason = _greedy_fit(cols, t, cfg.epsilon, max_support)
+    support, coef, trace, reason = _greedy_fit(cols, t, cfg.epsilon, cfg.max_support)
     return SparseRepresentation(support, coef, trace, reason)
 
 

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -33,8 +34,8 @@ from .evaluate import (
 )
 from .lcs import find_lcs, reduce_matrix, select_representatives
 from .matrix import FeatureMatrix, normalize_features
-from .omp import OmpConfig
-from .sfg import angle_histogram, build_sfg, filter_failed
+from .omp import STOP_REASONS, STOP_SUPPORT_LIMIT, OmpConfig
+from .sfg import SparseFeatureGraph, angle_histogram, build_sfg, filter_failed
 
 __all__ = ["PipelineConfig", "run_pipeline", "render_report"]
 
@@ -58,7 +59,6 @@ class PipelineConfig:
     seed: int = 0
     restarts: int = 10
     drop_singletons: bool = False
-    invert_angle_filter: bool = False
     angle_bins: int = 18
     n_jobs: int = 1
 
@@ -148,6 +148,34 @@ def mcfs_records(
     return records
 
 
+def _graph_record(graph: SparseFeatureGraph, filtered: SparseFeatureGraph) -> dict:
+    """The report's graph block.
+
+    Edge count, support sizes and stop reasons describe the fits of
+    ``graph`` as built; the failed nodes and the largest absolute weight,
+    with its ``[src, dst]`` edge, are those of ``filtered``, whose largest
+    weight is the scale theta is measured against.  ``capped_rows`` counts
+    the fits stopped by the support cap.
+    """
+    support = np.diff(graph.weights.indptr)[list(graph.stop_reasons)]
+    reasons = Counter(graph.stop_reasons.values())
+    weights = filtered.weights.tocoo()
+    top = int(np.argmax(np.abs(weights.data))) if weights.nnz else None
+    return {
+        "edges": int(graph.weights.nnz),
+        "failed_nodes_after_filter": sorted(int(i) for i in filtered.failed_nodes),
+        "support_p50": float(np.percentile(support, 50)),
+        "support_p90": float(np.percentile(support, 90)),
+        "support_max": int(support.max()),
+        "stop_reasons": {r: reasons[r] for r in STOP_REASONS},
+        "capped_rows": reasons[STOP_SUPPORT_LIMIT],
+        "max_abs_weight": filtered.max_abs_weight(),
+        "max_abs_weight_edge": (
+            None if top is None else [int(weights.row[top]), int(weights.col[top])]
+        ),
+    }
+
+
 def run_pipeline(
     features: FeatureMatrix, labels, config: PipelineConfig
 ) -> dict:
@@ -185,12 +213,7 @@ def run_pipeline(
         report_angles = angle_histogram(graph, normalized, bins=config.angle_bins)
 
     with _stage("filter", timings):
-        filtered = filter_failed(
-            graph,
-            normalized,
-            np.deg2rad(config.max_angle_deg),
-            invert=config.invert_angle_filter,
-        )
+        filtered = filter_failed(graph, normalized, np.deg2rad(config.max_angle_deg))
 
     with _stage("baseline", timings):
         baseline_emb, _, baseline_nmi, baseline_acc = cluster_scores(
@@ -235,10 +258,7 @@ def run_pipeline(
             "n_label_classes": int(np.unique(labels).size) if labels is not None else None,
             "zero_norm_features": [int(j) for j in zero_columns],
         },
-        "graph": {
-            "edges": int(graph.weights.nnz),
-            "failed_nodes_after_filter": sorted(int(i) for i in filtered.failed_nodes),
-        },
+        "graph": _graph_record(graph, filtered),
         "angles": {
             "bin_edges": [float(e) for e in report_angles.bin_edges],
             "counts": [int(c) for c in report_angles.counts],

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,10 +49,14 @@ class SparseFeatureGraph:
     failed_nodes : indices whose representation is unusable (zero-norm
         feature at build time, or rejected by the angle filter); their rows
         are empty.
+    stop_reasons : the solver's stop reason for each fitted node, by node
+        index.  Only :func:`build_sfg` knows them, and :func:`filter_failed`
+        keeps them; a graph read from a file has none.
     """
 
     weights: sp.csr_matrix
     failed_nodes: frozenset[int]
+    stop_reasons: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         w = sp.csr_matrix(self.weights)
@@ -75,11 +79,10 @@ class SparseFeatureGraph:
 
 
 def _fit_row(values: np.ndarray, i: int, cfg: OmpConfig, zero_mask: np.ndarray):
-    max_support = values.shape[1] - 1 if cfg.max_support is None else cfg.max_support
-    support, coef, _, _ = _greedy_fit(
-        values, values[:, i], cfg.epsilon, max_support, exclude=i, pre_banned=zero_mask
+    support, coef, _, reason = _greedy_fit(
+        values, values[:, i], cfg.epsilon, cfg.max_support, exclude=i, pre_banned=zero_mask
     )
-    return support, coef
+    return support, coef, reason
 
 
 def build_sfg(
@@ -94,6 +97,14 @@ def build_sfg(
     column whose fit comes back empty keeps an empty row but is *not* marked
     failed here: it has no defined reconstruction angle, which is exactly what
     the downstream angle filter rejects.
+
+    Each fit uses the solver's default support cap unless ``config`` sets
+    one: ⌊n/2⌋ atoms for n samples.  With n < d any column is an exact
+    combination of about n others, so an uncapped fit of a column the others
+    cannot really represent would reach angle 0 and pass the angle filter.
+    Capped, it keeps a residual and its angle shows it; the longest and
+    costliest fits are cut short as well.  Each fit's stop reason is kept in
+    ``stop_reasons``.
 
     ``n_jobs`` > 1 fans the per-feature fits out to a thread pool; each task
     writes only its own row, so the result is identical for any job count.
@@ -122,11 +133,12 @@ def build_sfg(
         fits = [_fit_row(values, i, cfg, zero_mask) for i in live]
 
     # The empty leading arrays keep concatenate defined when no column is live.
-    rows = np.repeat(live, [len(s) for s, _ in fits])
-    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [s for s, _ in fits])
-    vals = np.concatenate([np.empty(0)] + [c for _, c in fits])
+    rows = np.repeat(live, [len(s) for s, _, _ in fits])
+    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [s for s, _, _ in fits])
+    vals = np.concatenate([np.empty(0)] + [c for _, c, _ in fits])
     weights = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.float64)
-    return SparseFeatureGraph(weights, np.flatnonzero(zero_mask))
+    reasons = {int(i): reason for i, (_, _, reason) in zip(live, fits)}
+    return SparseFeatureGraph(weights, np.flatnonzero(zero_mask), reasons)
 
 
 def representation_angle(graph: SparseFeatureGraph, features: FeatureMatrix) -> np.ndarray:
@@ -154,34 +166,27 @@ def representation_angle(graph: SparseFeatureGraph, features: FeatureMatrix) -> 
 
 
 def filter_failed(
-    graph: SparseFeatureGraph,
-    features: FeatureMatrix,
-    max_angle: float,
-    invert: bool = False,
+    graph: SparseFeatureGraph, features: FeatureMatrix, max_angle: float
 ) -> SparseFeatureGraph:
     """Drop the out-edges of nodes whose reconstruction angle is unacceptable.
 
-    By default a node fails when its angle *exceeds* ``max_angle`` (radians)
-    or is undefined; ``invert=True`` flips the comparison and fails nodes
-    whose angle is *below* the threshold instead (undefined still fails).
-    In-edges of failed nodes are left untouched.  The operation is
-    idempotent: surviving rows are unchanged, so their angles do not move.
+    A node fails when its angle exceeds ``max_angle`` (radians) or is
+    undefined.  In-edges of failed nodes are left untouched.  The operation
+    is idempotent: surviving rows are unchanged, so their angles do not move.
     """
     if not 0.0 < max_angle <= np.pi / 2.0:
         raise ParameterError(
             f"max_angle must lie in (0, pi/2] radians, got {max_angle}"
         )
     angles = representation_angle(graph, features)
-    undefined = np.isnan(angles)
-    if invert:
-        rejected = undefined | (angles < max_angle)
-    else:
-        rejected = undefined | (angles > max_angle)
+    rejected = np.isnan(angles) | (angles > max_angle)
 
     weights = graph.weights.copy()
     weights.data[np.repeat(rejected, np.diff(weights.indptr))] = 0.0
     newly_failed = frozenset(np.flatnonzero(rejected).tolist())
-    return SparseFeatureGraph(weights, graph.failed_nodes | newly_failed)
+    return SparseFeatureGraph(
+        weights, graph.failed_nodes | newly_failed, graph.stop_reasons
+    )
 
 
 @dataclass

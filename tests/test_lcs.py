@@ -264,6 +264,12 @@ def test_reduce_matrix_range_check():
         reduce_matrix(features, kept)
 
 
+def test_reduce_matrix_rejects_a_negative_index():
+    features = FeatureMatrix(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ParameterError, match="-1"):
+        reduce_matrix(features, np.array([0, -1], dtype=np.intp))
+
+
 def test_save_partition_format(tmp_path):
     graph = _six_node_fixture()
     partition = find_lcs(graph, 0.5)

@@ -182,7 +182,7 @@ def test_numerically_dependent_atom_is_banned_then_nothing_remains():
     cols = np.column_stack([e[:, 0], e[:, 1], e[:, 3], dep])
     target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+    rep = omp(cols, target, OmpConfig(epsilon=1e-12, max_support=cols.shape[1]))
     assert rep.support.tolist() == [0, 1, 2]
     assert rep.stop_reason == STOP_NO_ATOM
     oracle = _ls_oracle(cols, rep.support, target)
@@ -200,7 +200,7 @@ def test_nearly_dependent_atom_above_the_floor_is_accepted():
     cols = np.column_stack([e[:, 0], e[:, 1], e[:, 3], dep])
     target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+    rep = omp(cols, target, OmpConfig(epsilon=1e-12, max_support=cols.shape[1]))
     assert rep.support.tolist() == [0, 1, 2, 3]
     assert rep.final_residual < 1e-12
     oracle = _ls_oracle(cols, rep.support, target)
@@ -220,7 +220,7 @@ def test_dependent_atom_is_skipped_in_favor_of_next_best():
     target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
     target = target + 1e-8 * e[:, 4]
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+    rep = omp(cols, target, OmpConfig(epsilon=1e-12, max_support=cols.shape[1]))
     assert rep.support.tolist() == [0, 1, 2, 4]
     assert 3 not in rep.support
 
@@ -232,6 +232,18 @@ def test_support_limit_caps_the_fit():
     target /= np.linalg.norm(target)
     rep = omp(cols, target, OmpConfig(epsilon=1e-15, max_support=2))
     assert rep.support.size == 2
+    assert rep.stop_reason == STOP_SUPPORT_LIMIT
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_dictionaries_get_a_default_cap_of_one_atom(n):
+    # n // 2 would be 0 at n = 1; the default cap is never below one atom.
+    rng = np.random.default_rng(n)
+    cols = _random_unit_dictionary(n, 5, rng)
+    target = rng.normal(size=n)
+    target /= np.linalg.norm(target)
+    rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+    assert rep.support.size == 1
     assert rep.stop_reason == STOP_SUPPORT_LIMIT
 
 

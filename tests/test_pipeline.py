@@ -12,7 +12,10 @@ from sfgraph import (
     ParameterError,
     PipelineConfig,
     SynthSpec,
+    build_sfg,
+    filter_failed,
     generate,
+    normalize_features,
     run_pipeline,
     render_report,
 )
@@ -58,6 +61,35 @@ def test_report_structure_and_sweep_length():
     )
     assert "build_sfg" in report["timings_ms"]
     assert "total" in report["timings_ms"]
+
+
+def test_graph_block_reports_the_solver_diagnostics():
+    # n < d, so some fits stop at the default cap of n // 2 atoms; with this
+    # seed the largest weight before the filter is on a row the filter fails
+    spec = SynthSpec(
+        n_samples=30, base_features=30, clusters=3, separation=8.0,
+        duplicate_pairs=15, mixture_features=10, noise_features=10, seed=12,
+    )
+    matrix, labels, _ = generate(spec)
+    block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]
+    normalized, _ = normalize_features(matrix)
+    graph = build_sfg(normalized)
+    filtered = filter_failed(graph, normalized, np.deg2rad(15.0))
+    support = np.diff(graph.weights.indptr)
+    assert list(block)[:2] == ["edges", "failed_nodes_after_filter"]
+    assert block["edges"] == graph.weights.nnz
+    assert block["support_p50"] == float(np.percentile(support, 50))
+    assert block["support_p90"] == float(np.percentile(support, 90))
+    assert block["support_max"] == int(support.max()) == 30 // 2
+    reasons = block["stop_reasons"]
+    assert set(reasons) == {"converged", "support_limit", "no_usable_atom"}
+    assert sum(reasons.values()) == matrix.n_features
+    capped = sum(graph.weights[i].nnz == 15 for i in range(matrix.n_features))
+    assert block["capped_rows"] == reasons["support_limit"] == capped > 0
+    dense = np.abs(filtered.weights.toarray())
+    src, dst = np.unravel_index(np.argmax(dense), dense.shape)
+    assert block["max_abs_weight"] == dense[src, dst] < graph.max_abs_weight()
+    assert block["max_abs_weight_edge"] == [src, dst]
 
 
 def test_retained_counts_never_increase_as_theta_drops():

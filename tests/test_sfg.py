@@ -10,14 +10,18 @@ from sfgraph import (
     ParameterError,
     ParseError,
     SparseFeatureGraph,
+    SynthSpec,
     angle_histogram,
     build_sfg,
     filter_failed,
+    generate,
     load_sfg,
     normalize_features,
+    omp,
     representation_angle,
     save_sfg,
 )
+from sfgraph.omp import STOP_SUPPORT_LIMIT
 
 
 def _unit_columns(values):
@@ -93,6 +97,50 @@ def test_unrepresentable_feature_keeps_empty_row_but_is_not_failed_at_build():
     # the angle filter is the stage that rejects them
     filtered = filter_failed(graph, features, np.deg2rad(15.0))
     assert filtered.failed_nodes == frozenset({0, 1, 2, 3})
+
+
+def _wide_synth(seed):
+    """A quarter of the benchmark's n < d shape: 60 samples, 154 features."""
+    spec = SynthSpec(
+        n_samples=60, base_features=60, clusters=4, separation=8.0,
+        duplicate_pairs=45, mixture_features=30, noise_features=19, seed=seed,
+    )
+    matrix, _, truth = generate(spec)
+    return normalize_features(matrix)[0], truth
+
+
+def test_rows_are_capped_at_half_the_samples_and_match_the_default_omp():
+    features, _ = _wide_synth(0)
+    values = features.values
+    n, d = values.shape
+    graph = build_sfg(features)
+    support = np.diff(graph.weights.indptr)
+    assert support.max() == n // 2
+    for i in range(d):
+        rep = omp(np.delete(values, i, axis=1), values[:, i])
+        dst = np.where(rep.support < i, rep.support, rep.support + 1)
+        order = np.argsort(dst)
+        row = graph.weights[i]
+        np.testing.assert_array_equal(dst[order], row.indices, err_msg=f"row {i}")
+        np.testing.assert_allclose(
+            rep.coefficients[order], row.data, rtol=0, atol=1e-10, err_msg=f"row {i}"
+        )
+        assert graph.stop_reasons[i] == rep.stop_reason, f"row {i}"
+
+
+def test_capped_noise_rows_fail_the_angle_filter():
+    # Uncapped, a noise column is an exact combination of about n others and
+    # passes at angle 0; capped, it keeps a residual the filter can see.
+    features, truth = _wide_synth(1)
+    noise = set(truth["noise"])
+    max_angle = np.deg2rad(15.0)
+    graph = build_sfg(features)
+    assert all(graph.stop_reasons[i] == STOP_SUPPORT_LIMIT for i in noise)
+    filtered = filter_failed(graph, features, max_angle)
+    assert filtered.stop_reasons == graph.stop_reasons
+    assert len(noise & filtered.failed_nodes) >= 2 * len(noise) / 3
+    uncapped = build_sfg(features, OmpConfig(max_support=features.n_features - 1))
+    assert not noise & filter_failed(uncapped, features, max_angle).failed_nodes
 
 
 def test_build_rejects_non_unit_columns_by_index():
@@ -239,15 +287,6 @@ def test_filter_is_idempotent():
     np.testing.assert_array_equal(once.weights.indptr, twice.weights.indptr)
     np.testing.assert_array_equal(once.weights.indices, twice.weights.indices)
     np.testing.assert_array_equal(once.weights.data, twice.weights.data)
-
-
-def test_filter_invert_flag_rejects_small_angles_instead():
-    features, graph = _angle_fixture()
-    filtered = filter_failed(graph, features, np.deg2rad(15.0), invert=True)
-    # angle-0 and angle-6.34deg nodes fail, the pi/2 node survives,
-    # undefined still fails
-    assert filtered.failed_nodes == frozenset({0, 1, 3})
-    assert filtered.weights[2].indices.size == 1
 
 
 def test_filter_threshold_domain():
