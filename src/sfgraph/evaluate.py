@@ -2,10 +2,11 @@
 
 The harness mirrors a standard unsupervised pipeline: a Gaussian similarity
 graph over samples, spectral embedding through the symmetric normalized
-Laplacian, k-means on the re-normalized embedding rows, and agreement scores
-(normalized mutual information and best-match accuracy) against ground-truth
-labels.  A sparse-regression feature scorer (`mcfs_select`) is included as a
-reference selection method to compare reduced inputs against.
+Laplacian (one restarted-Lanczos solve at every size, from a fixed start
+vector so that reruns agree bit for bit), k-means on the re-normalized
+embedding rows, and agreement scores (normalized mutual information and
+best-match accuracy) against ground-truth labels.  A sparse-regression
+feature scorer (`mcfs_select`) is included as a reference selection method.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
@@ -35,9 +35,6 @@ __all__ = [
     "mcfs_select",
 ]
 
-# Above this many samples the dense symmetric eigensolver is replaced by an
-# iterative one.
-DENSE_EIGEN_LIMIT = 4000
 # Lloyd iterations stop after KMEANS_MAX_ITER rounds or once the objective
 # improves by at most KMEANS_REL_TOL of its previous value.
 KMEANS_MAX_ITER = 300
@@ -128,9 +125,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
     """Eigenvectors of the symmetric normalized Laplacian of a similarity graph.
 
-    Uses a dense solver up to ``DENSE_EIGEN_LIMIT`` samples and an iterative
-    (Lanczos) solver beyond that; non-convergence of the iterative solver is
-    reported as a :class:`NumericalError`.
+    The k smallest eigenpairs of ``I - S`` are the k largest of
+    ``S = D^-1/2 W D^-1/2``, found by restarted Lanczos (ARPACK) at every
+    size.  ARPACK draws a random start vector on each call unless given one,
+    so the start is a fixed seeded draw; not all ones, which is S's top
+    eigenvector when all degrees are equal and stalls Lanczos at once.
+    Non-convergence is reported as a :class:`NumericalError`.
     """
     w = np.asarray(graph.weights, dtype=np.float64)
     n = w.shape[0]
@@ -143,24 +143,22 @@ def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
         bad = int(np.flatnonzero(deg <= 0.0)[0])
         raise DataError(f"sample {bad} has no similarity mass (isolated vertex)")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    s = w * inv_sqrt[:, None] * inv_sqrt[None, :]
-    s = (s + s.T) / 2.0
+    s = w * inv_sqrt[:, None]
+    s *= inv_sqrt[None, :]
+    s += s.T
+    s *= 0.5
 
-    if n <= DENSE_EIGEN_LIMIT:
-        lap = np.eye(n) - s
-        eigenvalues, vectors = scipy.linalg.eigh(lap, subset_by_index=(0, k - 1))
-    else:
-        try:
-            mu, vectors = scipy.sparse.linalg.eigsh(s, k=k, which="LA", tol=1e-8)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise NumericalError(
-                f"eigensolver did not converge for {n} samples "
-                f"({len(exc.eigenvalues)} of {k} eigenpairs found)"
-            ) from exc
-        order = np.argsort(-mu)  # largest of S == smallest of the Laplacian
-        eigenvalues = 1.0 - mu[order]
-        vectors = vectors[:, order]
-    return SpectralEmbedding(_fix_signs(np.ascontiguousarray(vectors)), eigenvalues)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        mu, vectors = scipy.sparse.linalg.eigsh(s, k, which="LA", tol=1e-8, v0=start)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NumericalError(
+            f"eigensolver did not converge for {n} samples "
+            f"({len(exc.eigenvalues)} of {k} eigenpairs found)"
+        ) from exc
+    order = np.argsort(-mu)  # largest of S == smallest of the Laplacian
+    vectors = np.ascontiguousarray(vectors[:, order])
+    return SpectralEmbedding(_fix_signs(vectors), 1.0 - mu[order])
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -155,9 +155,11 @@ def _graph_record(graph: SparseFeatureGraph, filtered: SparseFeatureGraph) -> di
     ``graph`` as built; the failed nodes and the largest absolute weight,
     with its ``[src, dst]`` edge, are those of ``filtered``, whose largest
     weight is the scale theta is measured against.  ``capped_rows`` counts
-    the fits stopped by the support cap.
+    the fits stopped by the support cap, and ``max_abs_weight_row_support``
+    is the support of the fit that holds the largest weight's edge.
     """
-    support = np.diff(graph.weights.indptr)[list(graph.stop_reasons)]
+    row_sizes = np.diff(graph.weights.indptr)
+    support = row_sizes[list(graph.stop_reasons)]
     reasons = Counter(graph.stop_reasons.values())
     weights = filtered.weights.tocoo()
     top = int(np.argmax(np.abs(weights.data))) if weights.nnz else None
@@ -172,6 +174,9 @@ def _graph_record(graph: SparseFeatureGraph, filtered: SparseFeatureGraph) -> di
         "max_abs_weight": filtered.max_abs_weight(),
         "max_abs_weight_edge": (
             None if top is None else [int(weights.row[top]), int(weights.col[top])]
+        ),
+        "max_abs_weight_row_support": (
+            None if top is None else int(row_sizes[weights.row[top]])
         ),
     }
 
@@ -224,6 +229,14 @@ def run_pipeline(
     reduced_inputs: list[tuple[float | None, FeatureMatrix, object]] = [
         (None, normalized, baseline_emb)
     ]
+    # Clustering is deterministic for a given matrix and seed, so a theta that
+    # keeps the same features as the baseline or an earlier theta reuses its
+    # (embedding, nmi, acc).
+    scored = {
+        np.arange(normalized.n_features, dtype=np.intp).tobytes(): (
+            baseline_emb, baseline_nmi, baseline_acc
+        )
+    }
     with _stage("sweep", timings):
         for theta in config.thetas:
             record = dict(_SWEEP_RECORD, theta=theta)
@@ -234,9 +247,13 @@ def run_pipeline(
                 record["retained"] = int(kept.size)
                 record["subgraphs"] = len(partition.subgraphs)
                 record["singletons"] = len(partition.singletons)
-                emb, _, record["nmi"], record["acc"] = cluster_scores(
-                    reduced, labels, *clustering
-                )
+                key = kept.tobytes()
+                if key not in scored:
+                    emb, _, nmi_score, acc_score = cluster_scores(
+                        reduced, labels, *clustering
+                    )
+                    scored[key] = (emb, nmi_score, acc_score)
+                emb, record["nmi"], record["acc"] = scored[key]
                 reduced_inputs.append((theta, reduced, emb))
             except SfgraphError as exc:
                 record["error"] = str(exc)

@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
@@ -125,6 +126,13 @@ def test_similarity_validates_sigma_and_shape():
 # spectral embedding
 
 
+def _laplacian(w):
+    """The symmetric normalized Laplacian, built densely as an oracle."""
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
+    lap = np.eye(w.shape[0]) - w * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return (lap + lap.T) / 2.0
+
+
 def test_embedding_columns_are_orthonormal():
     rng = np.random.default_rng(4)
     sim = gaussian_similarity(rng.normal(size=(30, 5)))
@@ -137,11 +145,7 @@ def test_embedding_pairs_satisfy_the_eigenproblem():
     rng = np.random.default_rng(5)
     sim = gaussian_similarity(rng.normal(size=(25, 4)))
     emb = spectral_embedding(sim, 3)
-    w = sim.weights
-    d = w.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    lap = np.eye(25) - w * inv_sqrt[:, None] * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
+    lap = _laplacian(sim.weights)
     for k in range(3):
         y = emb.vectors[:, k]
         lam = emb.eigenvalues[k]
@@ -154,12 +158,7 @@ def test_embedding_matches_direct_eigendecomposition():
     x = rng.normal(size=(8, 3))
     sim = gaussian_similarity(x)
     emb = spectral_embedding(sim, 4)
-    w = sim.weights
-    d = w.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    lap = np.eye(8) - w * inv_sqrt[:, None] * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
-    values, vectors = np.linalg.eigh(lap)
+    values, vectors = np.linalg.eigh(_laplacian(sim.weights))
     np.testing.assert_allclose(emb.eigenvalues, values[:4], atol=1e-10)
     for k in range(4):
         ours = emb.vectors[:, k]
@@ -207,27 +206,24 @@ def test_embedding_validates_inputs():
         spectral_embedding(type("S", (), {"weights": isolated})(), 2)
 
 
-def _iterative_branch(monkeypatch, n):
-    """Send spectral_embedding of n samples down the iterative eigensolver."""
-    monkeypatch.setattr("sfgraph.evaluate.DENSE_EIGEN_LIMIT", n - 1)
-
-
 def test_iterative_eigensolver_matches_the_dense_one(monkeypatch):
     sim = gaussian_similarity(np.random.default_rng(18).normal(size=(60, 3)))
-    dense = spectral_embedding(sim, 4)
     calls = []
 
     def counting_eigsh(*args, **kwargs):
         calls.append(1)
         return eigsh(*args, **kwargs)
 
-    _iterative_branch(monkeypatch, 60)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
     iterative = spectral_embedding(sim, 4)
     assert calls == [1]
-    assert np.min(np.diff(dense.eigenvalues)) > 1e-3  # vectors are well defined
-    np.testing.assert_allclose(iterative.eigenvalues, dense.eigenvalues, atol=1e-8)
-    np.testing.assert_allclose(iterative.vectors, dense.vectors, atol=1e-6)
+    # independent oracle: a dense solve of the explicit Laplacian
+    values, vectors = scipy.linalg.eigh(_laplacian(sim.weights), subset_by_index=(0, 3))
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    vectors *= np.sign(vectors[first, np.arange(4)])
+    assert np.min(np.diff(values)) > 1e-3  # vectors are well defined
+    np.testing.assert_allclose(iterative.eigenvalues, values, atol=1e-8)
+    np.testing.assert_allclose(iterative.vectors, vectors, atol=1e-6)
 
 
 def test_iterative_eigensolver_non_convergence_is_a_numerical_error(monkeypatch):
@@ -238,10 +234,27 @@ def test_iterative_eigensolver_non_convergence_is_a_numerical_error(monkeypatch)
             "ARPACK error -1: No convergence", np.zeros(1), np.zeros((30, 1))
         )
 
-    _iterative_branch(monkeypatch, 30)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(NumericalError, match="1 of 3 eigenpairs"):
         spectral_embedding(sim, 3)
+
+
+def test_embedding_is_bitwise_reproducible():
+    # ARPACK's own random start would make the last bits differ per call
+    sim = gaussian_similarity(np.random.default_rng(20).normal(size=(600, 8)))
+    a = spectral_embedding(sim, 10)
+    b = spectral_embedding(sim, 10)
+    np.testing.assert_array_equal(a.vectors, b.vectors)
+    np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_embedding_k_can_be_all_but_one_sample():
+    sim = gaussian_similarity(np.random.default_rng(21).normal(size=(12, 3)))
+    emb = spectral_embedding(sim, 11)
+    assert emb.vectors.shape == (12, 11)
+    np.testing.assert_allclose(emb.vectors.T @ emb.vectors, np.eye(11), atol=1e-8)
+    values = scipy.linalg.eigvalsh(_laplacian(sim.weights))
+    np.testing.assert_allclose(emb.eigenvalues, values[:11], atol=1e-8)
 
 
 # --------------------------------------------------------------------------

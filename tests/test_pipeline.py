@@ -15,10 +15,13 @@ from sfgraph import (
     build_sfg,
     filter_failed,
     generate,
+    find_lcs,
     normalize_features,
     run_pipeline,
     render_report,
+    select_representatives,
 )
+from sfgraph import pipeline
 
 
 def _synth_dataset(seed=0):
@@ -63,14 +66,18 @@ def test_report_structure_and_sweep_length():
     assert "total" in report["timings_ms"]
 
 
-def test_graph_block_reports_the_solver_diagnostics():
+def _wide_dataset():
     # n < d, so some fits stop at the default cap of n // 2 atoms; with this
     # seed the largest weight before the filter is on a row the filter fails
     spec = SynthSpec(
         n_samples=30, base_features=30, clusters=3, separation=8.0,
         duplicate_pairs=15, mixture_features=10, noise_features=10, seed=12,
     )
-    matrix, labels, _ = generate(spec)
+    return generate(spec)
+
+
+def test_graph_block_reports_the_solver_diagnostics():
+    matrix, labels, _ = _wide_dataset()
     block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]
     normalized, _ = normalize_features(matrix)
     graph = build_sfg(normalized)
@@ -90,6 +97,47 @@ def test_graph_block_reports_the_solver_diagnostics():
     src, dst = np.unravel_index(np.argmax(dense), dense.shape)
     assert block["max_abs_weight"] == dense[src, dst] < graph.max_abs_weight()
     assert block["max_abs_weight_edge"] == [src, dst]
+
+
+def test_graph_block_reports_the_support_of_the_largest_weight_row():
+    matrix, labels, _ = _wide_dataset()
+    block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]
+    normalized, _ = normalize_features(matrix)
+    graph = build_sfg(normalized)
+    src, _ = block["max_abs_weight_edge"]
+    assert list(block)[-1] == "max_abs_weight_row_support"
+    assert block["max_abs_weight_row_support"] == graph.weights[src].nnz > 1
+    # orthonormal features: no edge, so no row to measure
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(24, 6)))
+    labels = rng.integers(0, 2, size=24)
+    empty = run_pipeline(FeatureMatrix(q), labels, _config(k_clusters=2))["graph"]
+    assert empty["max_abs_weight_edge"] is None
+    assert empty["max_abs_weight_row_support"] is None
+
+
+def test_a_repeated_kept_set_is_clustered_once(monkeypatch):
+    matrix, labels, _ = _synth_dataset(seed=1)
+    config = _config()
+    normalized, _ = normalize_features(matrix)
+    filtered = filter_failed(build_sfg(normalized), normalized, np.deg2rad(15.0))
+    kept = [select_representatives(find_lcs(filtered, t)) for t in config.thetas]
+    distinct = {k.tobytes() for k in kept}
+    assert len(distinct) < len(config.thetas)  # some thetas keep the same set
+    assert np.arange(matrix.n_features).tobytes() not in distinct
+    calls = []
+    real = pipeline.cluster_scores
+
+    def counting(reduced, *args):
+        calls.append(reduced.n_features)
+        return real(reduced, *args)
+
+    monkeypatch.setattr(pipeline, "cluster_scores", counting)
+    report = run_pipeline(matrix, labels, config)
+    assert len(calls) == 1 + len(distinct)  # the baseline, then each new set
+    for rec, k in zip(report["sweep"], kept):
+        _, _, nmi_score, acc_score = real(normalized.subset(k), labels, 3, 0, 5)
+        assert (rec["nmi"], rec["acc"]) == (nmi_score, acc_score)
 
 
 def test_retained_counts_never_increase_as_theta_drops():
