@@ -10,7 +10,6 @@ Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .pipeline import (
     render_report,
     run_pipeline,
     write_angles_csv,
+    write_json,
 )
 from .sfg import angle_histogram, build_sfg, filter_failed, load_sfg, save_sfg
 from .synth import SynthSpec, generate
@@ -66,15 +66,6 @@ def _load_dataset(args):
     return features, labels
 
 
-def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -96,9 +87,7 @@ def cmd_synth(args) -> int:
     save_csv(os.path.join(args.out, "data.csv"), matrix)
     with open(os.path.join(args.out, "labels.txt"), "w") as fh:
         fh.writelines(f"{int(v)}\n" for v in labels)
-    with open(os.path.join(args.out, "ground_truth.json"), "w") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    write_json(truth, os.path.join(args.out, "ground_truth.json"))
     print(
         f"wrote {matrix.n_samples}x{matrix.n_features} dataset "
         f"({spec.clusters} clusters) to {args.out}"
@@ -111,7 +100,7 @@ def cmd_sfg(args) -> int:
     normalized, _ = normalize_features(features)
     graph = build_sfg(normalized, OmpConfig(epsilon=args.epsilon))
     if args.angles:
-        hist = angle_histogram(graph, normalized, bins=args.bins)
+        hist = angle_histogram(graph, normalized)
         write_angles_csv(args.angles, hist.bin_edges, hist.counts, hist.overflow)
     filtered = filter_failed(graph, normalized, np.deg2rad(args.max_angle_deg))
     save_sfg(filtered, args.out)
@@ -125,7 +114,7 @@ def cmd_sfg(args) -> int:
 def cmd_lcs(args) -> int:
     graph = load_sfg(args.graph)
     partition = find_lcs(graph, args.theta)
-    kept = select_representatives(partition, args.drop_singletons)
+    kept = select_representatives(partition)
     save_partition(partition, args.out)
     print(
         f"theta={args.theta}: {len(partition.subgraphs)} subgraphs, "
@@ -144,7 +133,7 @@ def cmd_reduce(args) -> int:
             f"{features.n_features} features"
         )
     partition = find_lcs(graph, args.theta)
-    kept = select_representatives(partition, args.drop_singletons)
+    kept = select_representatives(partition)
     reduced = reduce_matrix(features, kept)
     save_csv(args.out, reduced)
     print(
@@ -168,7 +157,7 @@ def cmd_eval_sc(args) -> int:
     _, sigma, nmi, acc = cluster_scores(
         normalized, labels, args.k, args.seed, args.restarts, sigma=args.sigma
     )
-    _write_json(
+    write_json(
         {
             "n_samples": features.n_samples,
             "n_features": features.n_features,
@@ -191,7 +180,7 @@ def cmd_eval_mcfs(args) -> int:
     records = mcfs_records(
         normalized, emb, counts, labels, args.k, args.seed, args.restarts
     )
-    _write_json({"k": args.k, "records": records}, args.out)
+    write_json({"k": args.k, "records": records}, args.out)
     return 0
 
 
@@ -216,7 +205,6 @@ _CONFIG_KEYS = {
     "m": lambda v: [int(x) for x in v.split(",") if x],
     "seed": int,
     "restarts": int,
-    "drop_singletons": _config_bool,
     "require_labels": _config_bool,
 }
 
@@ -281,7 +269,6 @@ def cmd_pipeline(args, argv) -> int:
         mcfs_counts=tuple(args.m) if args.m else (),
         seed=args.seed,
         restarts=args.restarts,
-        drop_singletons=args.drop_singletons,
     )
     report = run_pipeline(features, labels, config)
     written = render_report(report, args.out)
@@ -317,10 +304,23 @@ def _add_dataset_flags(p, with_labels: bool = True) -> None:
 
 
 def _add_cluster_flags(p) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
-        "--restarts", type=int, default=10, help="k-means restarts (default 10)"
+        "--seed",
+        type=int,
+        default=PipelineConfig.seed,
+        help="RNG seed (default %(default)s)",
     )
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=PipelineConfig.restarts,
+        help="k-means restarts (default %(default)s)",
+    )
+
+
+def _add_graph_flags(p) -> None:
+    p.add_argument("--epsilon", type=float, default=PipelineConfig.epsilon)
+    p.add_argument("--max-angle-deg", type=float, default=PipelineConfig.max_angle_deg)
 
 
 def _add_pipeline_flags(p) -> None:
@@ -329,8 +329,7 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument("--labels", default=None)
     p.add_argument("--require-labels", action="store_true")
     p.add_argument("--k", type=int, default=None, help="number of clusters")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-angle-deg", type=float, default=15.0)
+    _add_graph_flags(p)
     p.add_argument(
         "--theta",
         type=float,
@@ -341,7 +340,6 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument(
         "--m", type=int, action="append", default=None, help="selection grid size"
     )
-    p.add_argument("--drop-singletons", action="store_true")
     _add_cluster_flags(p)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default="sfgraph-out", help="output directory")
@@ -354,29 +352,26 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--base", type=int, required=True, help="number of base features")
-    p.add_argument("--clusters", type=int, default=1)
-    p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--dup-pairs", type=int, default=0)
-    p.add_argument("--mixtures", type=int, default=0)
-    p.add_argument("--noise", type=int, default=0)
-    p.add_argument("--mixture-noise", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clusters", type=int, default=SynthSpec.clusters)
+    p.add_argument("--separation", type=float, default=SynthSpec.separation)
+    p.add_argument("--dup-pairs", type=int, default=SynthSpec.duplicate_pairs)
+    p.add_argument("--mixtures", type=int, default=SynthSpec.mixture_features)
+    p.add_argument("--noise", type=int, default=SynthSpec.noise_features)
+    p.add_argument("--mixture-noise", type=float, default=SynthSpec.mixture_noise)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sfg", help="build and angle-filter the sparse feature graph")
     _add_dataset_flags(p, with_labels=False)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-angle-deg", type=float, default=15.0)
+    _add_graph_flags(p)
     p.add_argument("--angles", default=None, help="also write the angle histogram CSV")
-    p.add_argument("--bins", type=int, default=18)
     p.add_argument("--out", required=True, help="output graph TSV")
     p.set_defaults(func=cmd_sfg)
 
     p = sub.add_parser("lcs", help="mine redundancy groups from a graph file")
     p.add_argument("--graph", required=True, help="graph TSV from the sfg subcommand")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--drop-singletons", action="store_true")
     p.add_argument("--out", required=True, help="output partition file")
     p.set_defaults(func=cmd_lcs)
 
@@ -384,7 +379,6 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p, with_labels=False)
     p.add_argument("--graph", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--drop-singletons", action="store_true")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_reduce)
 

@@ -12,7 +12,7 @@ in-degree with ties to the lower index.  Groups are numbered in the order of
 their best-ranked member, and that member is the group's representative,
 recorded in ``LcsPartition.representatives``; neither affects membership.
 The partition fixes the reduction: each subgraph keeps its representative,
-and singletons are kept unless dropped.
+and every singleton is kept.
 """
 
 from __future__ import annotations
@@ -86,19 +86,14 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     return LcsPartition(labels, subgraphs, representatives, singletons, float(theta))
 
 
-def select_representatives(
-    partition: LcsPartition, drop_singletons: bool = False
-) -> np.ndarray:
-    """Ascending indices of the features the partition keeps.
+def select_representatives(partition: LcsPartition) -> np.ndarray:
+    """Ascending indices of the features the partition keeps: one per group.
 
     Each subgraph keeps its representative, ``partition.representatives``:
     the member most other features lean on (in-degree in the full graph, ties
-    to the lower index).  Singleton nodes carry no redundancy and are kept
-    unless ``drop_singletons`` is True.
+    to the lower index).  Singleton nodes carry no redundancy and are kept.
     """
-    kept = partition.representatives
-    if not drop_singletons:
-        kept = kept + partition.singletons
+    kept = partition.representatives + partition.singletons
     return np.array(sorted(kept), dtype=np.intp)
 
 

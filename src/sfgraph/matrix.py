@@ -103,9 +103,9 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
     Raises
     ------
     ParseError
-        Ragged rows (reported with their 1-based row number), non-numeric
-        cells outside the header, non-integer label values, or bytes that
-        are not valid text.
+        Ragged rows, non-numeric cells outside the header, non-integer
+        label values, or bytes that are not valid text.  A row is reported
+        by the 1-based file line it ends on, blank lines included.
     DataError
         A NaN or infinite cell, reported with its row and column.
     DimensionError
@@ -113,33 +113,32 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
         extraction.
     """
     with open(path, newline="") as fh:
+        reader = csv.reader(_text_lines(fh, path))
         try:
-            rows = [row for row in csv.reader(_text_lines(fh, path)) if row]
+            numbered = [(reader.line_num, row) for row in reader if row]
         except csv.Error as exc:
             raise ParseError(f"{path}: {exc}") from None
-    if not rows:
+    if not numbered:
         raise ParseError(f"{path}: empty file")
+    line_nos, rows = zip(*numbered)
 
     header: list[str] | None = None
     first = [_parse_cell(c.strip()) for c in rows[0]]
     if any(v is None for v in first):
         header = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-        first_data_line = 2
+        data_rows, line_nos = rows[1:], line_nos[1:]
     else:
         data_rows = rows
-        first_data_line = 1
     if not data_rows:
         raise ParseError(f"{path}: no data rows")
 
     width = len(data_rows[0])
     if header is not None and len(header) != width:
         raise ParseError(
-            f"{path}: header has {len(header)} cells, row {first_data_line} has {width}"
+            f"{path}: header has {len(header)} cells, row {line_nos[0]} has {width}"
         )
     parsed = np.empty((len(data_rows), width), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        line_no = first_data_line + r
+    for line_no, row, out in zip(line_nos, data_rows, parsed):
         if len(row) != width:
             raise ParseError(
                 f"{path}: ragged row {line_no}: {len(row)} cells, expected {width}"
@@ -150,12 +149,12 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
                 raise ParseError(
                     f"{path}: non-numeric cell at row {line_no}, column {c}: {cell!r}"
                 )
-            parsed[r, c] = v
+            out[c] = v
     bad = np.argwhere(~np.isfinite(parsed))
     if bad.size:
         r, c = (int(x) for x in bad[0])
         raise DataError(
-            f"{path}: non-finite cell at row {first_data_line + r}, column {c}: "
+            f"{path}: non-finite cell at row {line_nos[r]}, column {c}: "
             f"{data_rows[r][c]!r}"
         )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -52,14 +53,12 @@ class PipelineConfig:
     """All knobs of one pipeline run."""
 
     k_clusters: int
-    epsilon: float = 1e-6
+    epsilon: float = OmpConfig.epsilon
     max_angle_deg: float = 15.0
     thetas: tuple[float, ...] = DEFAULT_THETAS
     mcfs_counts: tuple[int, ...] = ()
     seed: int = 0
     restarts: int = 10
-    drop_singletons: bool = False
-    angle_bins: int = 18
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -83,8 +82,6 @@ class PipelineConfig:
                 raise ParameterError(f"mcfs count must be at least 1, got {m}")
         if self.restarts < 1:
             raise ParameterError(f"restarts must be at least 1, got {self.restarts}")
-        if self.angle_bins < 1:
-            raise ParameterError(f"angle_bins must be at least 1, got {self.angle_bins}")
 
     def as_dict(self) -> dict:
         """The report's config record: every field but ``n_jobs``, which does
@@ -215,7 +212,7 @@ def run_pipeline(
         )
 
     with _stage("angle_histogram", timings):
-        report_angles = angle_histogram(graph, normalized, bins=config.angle_bins)
+        report_angles = angle_histogram(graph, normalized)
 
     with _stage("filter", timings):
         filtered = filter_failed(graph, normalized, np.deg2rad(config.max_angle_deg))
@@ -242,7 +239,7 @@ def run_pipeline(
             record = dict(_SWEEP_RECORD, theta=theta)
             try:
                 partition = find_lcs(filtered, theta)
-                kept = select_representatives(partition, config.drop_singletons)
+                kept = select_representatives(partition)
                 reduced = reduce_matrix(normalized, kept)
                 record["retained"] = int(kept.size)
                 record["subgraphs"] = len(partition.subgraphs)
@@ -301,6 +298,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_json(payload: dict, path=None) -> None:
+    """Write ``payload`` as JSON indented by 2 with a trailing newline, to
+    ``path`` or, without one, to stdout."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def write_angles_csv(path, bin_edges, counts, overflow) -> None:
     """Write an angle histogram as CSV: a ``bin_left,bin_right,count`` row per
     bin, then ``<last edge>,inf,<overflow>`` for the undefined angles."""
@@ -319,9 +327,7 @@ def render_report(report: dict, out_dir) -> list[str]:
     written: list[str] = []
 
     path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(report, path)
     written.append(path)
 
     path = os.path.join(out_dir, "sweep.csv")

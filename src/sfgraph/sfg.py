@@ -38,6 +38,10 @@ __all__ = [
     "load_sfg",
 ]
 
+# Bins of the angle histogram: 5 degrees each, so the default 15-degree
+# filter threshold falls on a bin edge.
+ANGLE_BINS = 18
+
 
 @dataclass
 class SparseFeatureGraph:
@@ -194,7 +198,7 @@ class AngleReport:
     """Distribution of reconstruction angles over the graph's nodes.
 
     angles : per-node angle in radians, NaN where undefined.
-    bin_edges : ``bins + 1`` edges covering [0, pi/2].
+    bin_edges : ``ANGLE_BINS + 1`` equally spaced edges covering [0, pi/2].
     counts : per-bin node counts; the last bin is right-inclusive and also
         absorbs the rare angle beyond pi/2, so the counts sum to the number
         of nodes with a defined angle.
@@ -207,15 +211,12 @@ class AngleReport:
     overflow: int
 
 
-def angle_histogram(
-    graph: SparseFeatureGraph, features: FeatureMatrix, bins: int = 18
-) -> AngleReport:
-    """Histogram of reconstruction angles over fixed-width bins on [0, pi/2]."""
-    if bins < 1:
-        raise ParameterError(f"bins must be at least 1, got {bins}")
+def angle_histogram(graph: SparseFeatureGraph, features: FeatureMatrix) -> AngleReport:
+    """Histogram of reconstruction angles over ``ANGLE_BINS`` equal bins on
+    [0, pi/2]."""
     angles = representation_angle(graph, features)
     defined = angles[~np.isnan(angles)]
-    edges = np.linspace(0.0, np.pi / 2.0, bins + 1)
+    edges = np.linspace(0.0, np.pi / 2.0, ANGLE_BINS + 1)
     counts, _ = np.histogram(np.minimum(defined, np.pi / 2.0), bins=edges)
     overflow = int(np.isnan(angles).sum())
     return AngleReport(angles, edges, counts.astype(np.int64), overflow)

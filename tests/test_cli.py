@@ -53,7 +53,6 @@ def test_sfg_builds_a_loadable_graph_and_angle_csv(tmp_path):
             "--input", str(data),
             "--out", str(graph_path),
             "--angles", str(angles_path),
-            "--bins", "6",
         ]
     )
     assert code == 0
@@ -62,7 +61,7 @@ def test_sfg_builds_a_loadable_graph_and_angle_csv(tmp_path):
     assert graph.weights.nnz > 0  # the planted duplicates produce edges
     lines = angles_path.read_text().splitlines()
     assert lines[0] == "bin_left,bin_right,count"
-    assert len(lines) == 1 + 6 + 1
+    assert len(lines) == 1 + 18 + 1
     assert lines[-1].split(",")[1] == "inf"
 
 
@@ -289,11 +288,50 @@ def test_pipeline_rejects_unknown_config_key(tmp_path):
     ) == 1
 
 
+def test_removed_flags_are_usage_errors(tmp_path, capsys):
+    # a theta keeps one feature per group, and the angle histogram has one
+    # shape: neither has a flag any more
+    data, labels = _make_dataset(tmp_path)
+    graph = tmp_path / "graph.tsv"
+    assert main(["sfg", "--input", str(data), "--out", str(graph)]) == 0
+    out = tmp_path / "never"
+    dataset = ["--input", str(data)]
+    for argv, removed in (
+        (["sfg", *dataset, "--out", str(out)], ["--bins", "18"]),
+        (["lcs", "--graph", str(graph), "--theta", "0.5", "--out", str(out)],
+         ["--drop-singletons"]),
+        (["reduce", *dataset, "--graph", str(graph), "--theta", "0.5",
+          "--out", str(out)], ["--drop-singletons"]),
+        (["pipeline", *dataset, "--labels", str(labels), "--k", "2",
+          "--theta", "0.5", "--out", str(out)], ["--drop-singletons"]),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv + removed)
+        assert err.value.code == 1, argv
+        err_text = capsys.readouterr().err
+        assert "unrecognized arguments: " + " ".join(removed) in err_text
+        assert not out.exists()
+
+
+def test_pipeline_rejects_removed_drop_singletons_key(tmp_path, capsys):
+    data, labels = _make_dataset(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "never"
+    cfg.write_text(
+        f"input = {data}\nlabels = {labels}\nk = 2\ntheta = 0.5\n"
+        f"drop_singletons = true\nout = {out}\n"
+    )
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert "unknown config key 'drop_singletons'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_bad_config_value_names_key_and_line(tmp_path, capsys):
     data, _ = _make_dataset(tmp_path)
     cfg = tmp_path / "bad.cfg"
     out = tmp_path / "never"
-    for bad, key in (("k = three", "'k'"), ("drop_singletons = ture", "'drop_singletons'")):
+    for bad, key in (("k = three", "'k'"), ("require_labels = ture", "'require_labels'")):
         cfg.write_text(f"input = {data}\n{bad}\n")
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -305,8 +343,8 @@ def test_config_booleans_accept_any_case(tmp_path):
     cfg = tmp_path / "run.cfg"
     for raw, expected in (("TRUE", True), ("Yes", True), ("1", True),
                           ("False", False), ("no", False), ("0", False)):
-        cfg.write_text(f"drop_singletons = {raw}\n")
-        assert _read_config_file(cfg) == {"drop_singletons": expected}, raw
+        cfg.write_text(f"require_labels = {raw}\n")
+        assert _read_config_file(cfg) == {"require_labels": expected}, raw
 
 
 def test_pipeline_require_labels_fails_before_computation(tmp_path):

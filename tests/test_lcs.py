@@ -118,7 +118,6 @@ def test_edge_free_graph_is_all_singletons():
     assert partition.subgraphs == []
     assert partition.singletons == [0, 1, 2, 3, 4]
     assert select_representatives(partition).tolist() == [0, 1, 2, 3, 4]
-    assert select_representatives(partition, drop_singletons=True).size == 0
 
 
 def test_theta_domain():
@@ -215,15 +214,6 @@ def test_representatives_match_max_in_degree_lowest_index_oracle():
             assert partition.representatives == expected, (trial, theta)
             kept = select_representatives(partition)
             assert kept.tolist() == sorted(expected + partition.singletons)
-            kept = select_representatives(partition, drop_singletons=True)
-            assert kept.tolist() == sorted(expected)
-
-
-def test_drop_singletons():
-    graph = _six_node_fixture()
-    partition = find_lcs(graph, 0.5)
-    kept = select_representatives(partition, drop_singletons=True)
-    assert kept.tolist() == [0, 2]
 
 
 def test_pairwise_duplicates_keep_one_member_each():

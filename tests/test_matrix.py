@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfgraph import (
+    DataError,
     DimensionError,
     FeatureMatrix,
     ParameterError,
@@ -78,6 +79,26 @@ def test_load_csv_non_numeric_cell_is_located(tmp_path):
         load_csv(path)
     message = str(err.value)
     assert "row 2" in message and "oops" in message
+
+
+@pytest.mark.parametrize(
+    "text, error, where",
+    [
+        ("a,b\n\n1,2\n\n3\n", ParseError, "ragged row 5:"),
+        ('a,b\n\n1,"2\n"\n\n3\n', ParseError, "ragged row 6:"),
+        ('"a\nb",c\n\n1,2\n\n4,oops\n', ParseError, "row 6, column 1"),
+        ("1,2\n\n\n3,nan\n", DataError, "row 4, column 1"),
+        ('a,b\n\n"1\n",2,3\n', ParseError, "row 4 has 3"),
+    ],
+    ids=["ragged", "quoted-ragged", "quoted-header", "non-finite", "header-width"],
+)
+def test_load_csv_numbers_rows_by_file_line(tmp_path, text, error, where):
+    # blank lines and newlines inside quoted cells still count as lines
+    path = tmp_path / "gaps.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        load_csv(path)
+    assert where in str(err.value)
 
 
 def test_load_csv_label_column_by_name(tmp_path):

@@ -177,15 +177,18 @@ def test_pipeline_without_labels_has_null_metrics_and_no_grid():
 
 
 def test_per_theta_failure_is_recorded_and_the_run_continues():
+    # the near-constant column joins the three constant ones in one group, so
     # after reduction only one constant feature remains: every sample row is
     # identical, the similarity width is undefined, and that theta slice
     # fails while the others still complete
     rng = np.random.default_rng(4)
     constant = np.ones(20)
-    cols = np.column_stack([constant, constant, constant, rng.normal(size=20)])
+    cols = np.column_stack(
+        [constant, constant, constant, constant + 0.01 * rng.normal(size=20)]
+    )
     matrix = FeatureMatrix(cols)
     labels = rng.integers(0, 2, size=20)
-    config = _config(k_clusters=2, thetas=(0.5,), drop_singletons=True)
+    config = _config(k_clusters=2, thetas=(0.5,))
     report = run_pipeline(matrix, labels, config)
     record = report["sweep"][0]
     assert record["error"] is not None
@@ -196,8 +199,9 @@ def test_per_theta_failure_is_recorded_and_the_run_continues():
 
 
 def test_failed_mcfs_selection_is_recorded_and_the_run_continues():
-    # the matrix above: a selection of constant columns alone leaves every
-    # sample identical, so that count fails while the others score
+    # three constant columns and a random one: a selection of constant
+    # columns alone leaves every sample identical, so that count fails while
+    # the others score
     rng = np.random.default_rng(4)
     constant = np.ones(20)
     cols = np.column_stack([constant, constant, constant, rng.normal(size=20)])
@@ -292,8 +296,6 @@ def test_config_validation():
         PipelineConfig(k_clusters=2, mcfs_counts=(0,))
     with pytest.raises(ParameterError):
         PipelineConfig(k_clusters=2, restarts=0)
-    with pytest.raises(ParameterError):
-        PipelineConfig(k_clusters=2, angle_bins=0)
 
 
 # --------------------------------------------------------------------------
@@ -328,10 +330,12 @@ def test_sweep_csv_has_baseline_row_first(tmp_path):
 def test_failed_slice_renders_na_metrics(tmp_path):
     rng = np.random.default_rng(11)
     constant = np.ones(20)
-    cols = np.column_stack([constant, constant, constant, rng.normal(size=20)])
+    cols = np.column_stack(
+        [constant, constant, constant, constant + 0.01 * rng.normal(size=20)]
+    )
     matrix = FeatureMatrix(cols)
     labels = rng.integers(0, 2, size=20)
-    config = _config(k_clusters=2, thetas=(0.5,), drop_singletons=True)
+    config = _config(k_clusters=2, thetas=(0.5,))
     report = run_pipeline(matrix, labels, config)
     render_report(report, tmp_path)
     with open(tmp_path / "sweep.csv", newline="") as fh:
@@ -341,12 +345,12 @@ def test_failed_slice_renders_na_metrics(tmp_path):
 
 def test_angles_csv_rows_and_overflow(tmp_path):
     matrix, labels, _ = _synth_dataset(seed=12)
-    report = run_pipeline(matrix, labels, _config(angle_bins=10))
+    report = run_pipeline(matrix, labels, _config())
     render_report(report, tmp_path)
     with open(tmp_path / "angles.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["bin_left", "bin_right", "count"]
-    assert len(rows) == 1 + 10 + 1  # header + bins + overflow row
+    assert len(rows) == 1 + 18 + 1  # header + bins + overflow row
     assert rows[-1][1] == "inf"
     in_bins = sum(int(row[2]) for row in rows[1:-1])
     assert in_bins + int(rows[-1][2]) == matrix.n_features

@@ -311,8 +311,8 @@ def test_filter_carries_forward_earlier_failures():
 
 def test_angle_histogram_counts_and_overflow():
     features, graph = _angle_fixture()
-    report = angle_histogram(graph, features, bins=9)
-    assert report.bin_edges.shape == (10,)
+    report = angle_histogram(graph, features)
+    assert report.bin_edges.shape == (19,)  # 18 bins of 5 degrees
     assert report.bin_edges[0] == 0.0
     assert abs(report.bin_edges[-1] - np.pi / 2.0) < 1e-15
     # three defined angles (0, ~6.34deg, pi/2), one undefined node
@@ -328,18 +328,12 @@ def test_angle_histogram_clamps_angles_beyond_right_edge():
     features = FeatureMatrix(np.column_stack([e[:, 0], e[:, 0], e[:, 1]]))
     # reconstruction is the exact negation: cos = -1, angle = pi
     graph = _graph_from_rows(3, {0: {1: -1.0}})
-    report = angle_histogram(graph, features, bins=4)
+    report = angle_histogram(graph, features)
     angles = report.angles
     assert abs(angles[0] - np.pi) < 1e-12
     assert int(report.counts.sum()) == 1  # still counted as defined
     assert report.counts[-1] == 1  # in the last bin
     assert report.overflow == 2  # only the two undefined nodes
-
-
-def test_angle_histogram_validates_bins():
-    features, graph = _angle_fixture()
-    with pytest.raises(ParameterError):
-        angle_histogram(graph, features, bins=0)
 
 
 def test_save_load_round_trip_preserves_graph_exactly(tmp_path):
