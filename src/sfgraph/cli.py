@@ -2,9 +2,11 @@
 
 Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``lcs``, ``reduce``, ``eval-sc``, ``eval-mcfs``) plus the end-to-end
-``pipeline`` run.  Exit codes: 0 success, 1 usage/parameter problems,
-2 unusable input data, 3 numerical failure; an error's code is its class's
-``exit_code``.
+``pipeline`` run.  Every setting of a run is a flag of its subcommand.
+``--k``, ``--m`` and ``--restarts`` take integers of at least 1, so a bad
+count is a usage error before any file is read.
+Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data,
+3 numerical failure; an error's code is its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ParseError, SfgraphError
+from .errors import DimensionError, ParameterError, SfgraphError
 from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
-from .matrix import _text_lines, load_csv, load_labels, normalize_features, save_csv
+from .matrix import load_csv, load_labels, normalize_features, save_csv
 from .omp import OmpConfig
 from .pipeline import (
     DEFAULT_THETAS,
@@ -41,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _count(value: str) -> int:
+    """argparse type of ``--k``, ``--m`` and ``--restarts``: an integer >= 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return count
 
 
 def _label_column(value: str):
@@ -184,78 +197,7 @@ def cmd_eval_mcfs(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# pipeline subcommand with optional flat key=value config file
-
-def _config_bool(value: str) -> bool:
-    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(value)
-    return value.lower() in ("1", "true", "yes")
-
-
-_CONFIG_KEYS = {
-    "input": str,
-    "labels": str,
-    "label_column": _label_column,
-    "out": str,
-    "k": int,
-    "epsilon": float,
-    "max_angle_deg": float,
-    "theta": lambda v: [float(x) for x in v.split(",") if x],
-    "m": lambda v: [int(x) for x in v.split(",") if x],
-    "seed": int,
-    "restarts": int,
-    "require_labels": _config_bool,
-}
-
-
-def _read_config_file(path) -> dict:
-    values: dict = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(_text_lines(fh, path), start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError(f"{path}: line {line_no}: expected key = value")
-            key, _, raw = text.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ParameterError(f"{path}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](raw.strip())
-            except ValueError:
-                raise ParameterError(
-                    f"{path}: line {line_no}: bad value for {key!r}: {raw.strip()!r}"
-                ) from None
-    return values
-
-
-def _merge_config(args, argv):
-    """Parse the pipeline's flags again over the config file's values.
-
-    argparse keeps a pre-set value unless a flag, in any spelling it accepts,
-    sets it.  A flag would append to a pre-set ``theta`` or ``m`` list, so the
-    file fills those only when no flag did.
-    """
-    values = _read_config_file(args.config)
-    lists = {key: values.pop(key) for key in ("theta", "m") if key in values}
-    parser = _Parser(prog="sfgraph pipeline")
-    _add_pipeline_flags(parser)
-    merged = parser.parse_args(argv[1:], argparse.Namespace(**values))
-    for key, value in lists.items():
-        if getattr(merged, key) is None:
-            setattr(merged, key, value)
-    return merged
-
-
-def cmd_pipeline(args, argv) -> int:
-    if args.config:
-        args = _merge_config(args, argv)
-    if args.input is None:
-        raise ParameterError("--input is required (flag or config file)")
-    if args.k is None:
-        raise ParameterError("--k is required (flag or config file)")
+def cmd_pipeline(args) -> int:
     if args.require_labels and not args.labels and args.label_column is None:
         raise ParameterError(
             "--require-labels set but no --labels/--label-column given"
@@ -304,6 +246,7 @@ def _add_dataset_flags(p, with_labels: bool = True) -> None:
 
 
 def _add_cluster_flags(p) -> None:
+    p.add_argument("--k", type=_count, required=True, help="number of clusters")
     p.add_argument(
         "--seed",
         type=int,
@@ -312,7 +255,7 @@ def _add_cluster_flags(p) -> None:
     )
     p.add_argument(
         "--restarts",
-        type=int,
+        type=_count,
         default=PipelineConfig.restarts,
         help="k-means restarts (default %(default)s)",
     )
@@ -321,28 +264,6 @@ def _add_cluster_flags(p) -> None:
 def _add_graph_flags(p) -> None:
     p.add_argument("--epsilon", type=float, default=PipelineConfig.epsilon)
     p.add_argument("--max-angle-deg", type=float, default=PipelineConfig.max_angle_deg)
-
-
-def _add_pipeline_flags(p) -> None:
-    p.add_argument("--input", default=None, help="input CSV dataset")
-    p.add_argument("--label-column", type=_label_column, default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--require-labels", action="store_true")
-    p.add_argument("--k", type=int, default=None, help="number of clusters")
-    _add_graph_flags(p)
-    p.add_argument(
-        "--theta",
-        type=float,
-        action="append",
-        default=None,
-        help="threshold (repeatable; default 0.9..0.1)",
-    )
-    p.add_argument(
-        "--m", type=int, action="append", default=None, help="selection grid size"
-    )
-    _add_cluster_flags(p)
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--out", default="sfgraph-out", help="output directory")
 
 
 def build_parser() -> _Parser:
@@ -384,7 +305,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-sc", help="spectral clustering agreement with labels")
     _add_dataset_flags(p)
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--sigma", type=float, default=None, help="kernel width override")
     _add_cluster_flags(p)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -392,10 +312,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-mcfs", help="regression-based selection + clustering")
     _add_dataset_flags(p)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--m",
-        type=int,
+        type=_count,
         action="append",
         default=None,
         help="selected-feature count (repeatable; default 10..60 step 5)",
@@ -405,19 +324,29 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval_mcfs)
 
     p = sub.add_parser("pipeline", help="full reduction + evaluation sweep")
-    _add_pipeline_flags(p)
+    _add_dataset_flags(p)
+    p.add_argument("--require-labels", action="store_true")
+    _add_graph_flags(p)
+    p.add_argument(
+        "--theta",
+        type=float,
+        action="append",
+        default=None,
+        help="threshold (repeatable; default 0.9..0.1)",
+    )
+    p.add_argument(
+        "--m", type=_count, action="append", default=None, help="selection grid size"
+    )
+    _add_cluster_flags(p)
+    p.add_argument("--out", default="sfgraph-out", help="output directory")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.func is cmd_pipeline:
-            return cmd_pipeline(args, argv)
         return args.func(args)
     except SfgraphError as exc:
         print(f"sfgraph: error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ and stops when an iteration no longer pays for itself, i.e. when
 with q_k the least-squares residual on the current support.  Sparsity then
 adapts to the target: targets that are (nearly) exact combinations of a few
 dictionary atoms get tiny supports, while unstructured targets keep only as
-many atoms as actually reduce the error.
+many atoms as actually reduce the error.  A fit whose squared residual falls
+to the square of the correlation floor is exact and stops as converged too.
 
 By default a fit stops after at most half as many atoms as the dictionary
 has rows, ⌊n/2⌋ (at least 1).  With fewer samples than atoms any target is an
@@ -50,7 +51,7 @@ CORRELATION_FLOOR = 1e-12
 DEPENDENCE_FLOOR = 1e-12
 
 # stop_reason values
-STOP_CONVERGED = "converged"  # residual change fell to <= epsilon
+STOP_CONVERGED = "converged"  # residual change fell to <= epsilon, or fit is exact
 STOP_SUPPORT_LIMIT = "support_limit"  # reached the allowed support size
 STOP_NO_ATOM = "no_usable_atom"  # no remaining atom can make progress
 STOP_REASONS = (STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM)
@@ -174,6 +175,11 @@ def _greedy_fit(
             break
         if k >= cap:
             reason = STOP_SUPPORT_LIMIT
+            break
+        if trace[-1] <= CORRELATION_FLOOR**2:
+            # An exact fit: |q . a| <= ||q|| for a unit atom a, so no atom can
+            # clear the correlation floor and another product would be wasted.
+            reason = STOP_CONVERGED
             break
         corr = q @ cols
 

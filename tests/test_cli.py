@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg
-from sfgraph.cli import _read_config_file, main
+from sfgraph.cli import main
 
 
 def _make_dataset(tmp_path, **kwargs):
@@ -244,53 +244,9 @@ def test_pipeline_writes_all_report_files(tmp_path, capsys):
     assert report["config"]["mcfs_counts"] == [3]
 
 
-@pytest.mark.parametrize(
-    "flags, thetas",
-    [
-        (["--seed", "1"], [0.9, 0.5]),
-        (["--seed=1"], [0.9, 0.5]),
-        (["--se", "1"], [0.9, 0.5]),
-        (["--seed", "1", "--theta", "0.7"], [0.7]),  # replaces, not appends
-    ],
-    ids=["flag", "flag-equals", "abbreviated", "list-flag"],
-)
-def test_pipeline_config_file_with_flag_override(tmp_path, flags, thetas):
-    data, labels = _make_dataset(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "\n".join(
-            [
-                f"input = {data}",
-                f"labels = {labels}",
-                "k = 2",
-                "theta = 0.9,0.5",
-                "seed = 5  # overridden on the command line",
-                "restarts = 4",
-            ]
-        )
-        + "\n"
-    )
-    out = tmp_path / "cfg_run"
-    code = main(["pipeline", "--config", str(cfg), *flags, "--out", str(out)])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["seed"] == 1  # any accepted spelling beats the file
-    assert report["config"]["restarts"] == 4  # file fills the gap
-    assert report["config"]["thetas"] == thetas
-
-
-def test_pipeline_rejects_unknown_config_key(tmp_path):
-    data, _ = _make_dataset(tmp_path)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mystery = 3\n")
-    assert main(
-        ["pipeline", "--config", str(cfg), "--input", str(data), "--k", "2"]
-    ) == 1
-
-
 def test_removed_flags_are_usage_errors(tmp_path, capsys):
-    # a theta keeps one feature per group, and the angle histogram has one
-    # shape: neither has a flag any more
+    # a theta keeps one feature per group, the angle histogram has one shape,
+    # and a pipeline run is set by its flags alone: none has a flag any more
     data, labels = _make_dataset(tmp_path)
     graph = tmp_path / "graph.tsv"
     assert main(["sfg", "--input", str(data), "--out", str(graph)]) == 0
@@ -304,6 +260,8 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys):
           "--out", str(out)], ["--drop-singletons"]),
         (["pipeline", *dataset, "--labels", str(labels), "--k", "2",
           "--theta", "0.5", "--out", str(out)], ["--drop-singletons"]),
+        (["pipeline", *dataset, "--labels", str(labels), "--k", "2",
+          "--out", str(out)], ["--config", "run.cfg"]),
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -312,39 +270,6 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys):
         err_text = capsys.readouterr().err
         assert "unrecognized arguments: " + " ".join(removed) in err_text
         assert not out.exists()
-
-
-def test_pipeline_rejects_removed_drop_singletons_key(tmp_path, capsys):
-    data, labels = _make_dataset(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    out = tmp_path / "never"
-    cfg.write_text(
-        f"input = {data}\nlabels = {labels}\nk = 2\ntheta = 0.5\n"
-        f"drop_singletons = true\nout = {out}\n"
-    )
-    assert main(["pipeline", "--config", str(cfg)]) == 1
-    assert "unknown config key 'drop_singletons'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_pipeline_bad_config_value_names_key_and_line(tmp_path, capsys):
-    data, _ = _make_dataset(tmp_path)
-    cfg = tmp_path / "bad.cfg"
-    out = tmp_path / "never"
-    for bad, key in (("k = three", "'k'"), ("require_labels = ture", "'require_labels'")):
-        cfg.write_text(f"input = {data}\n{bad}\n")
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "line 2" in err and key in err
-        assert not out.exists()
-
-
-def test_config_booleans_accept_any_case(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    for raw, expected in (("TRUE", True), ("Yes", True), ("1", True),
-                          ("False", False), ("no", False), ("0", False)):
-        cfg.write_text(f"require_labels = {raw}\n")
-        assert _read_config_file(cfg) == {"require_labels": expected}, raw
 
 
 def test_pipeline_require_labels_fails_before_computation(tmp_path):
@@ -396,6 +321,28 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["unknown-command"])
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "command, count",
+    [
+        ("eval-mcfs", ["--k", "2", "--m", "0"]),
+        ("eval-mcfs", ["--k", "2", "--m", "-2"]),
+        ("eval-mcfs", ["--k", "2", "--restarts", "0"]),
+        ("eval-sc", ["--k", "2", "--restarts", "0"]),
+        ("pipeline", ["--k", "0"]),
+    ],
+    ids=["mcfs-m-0", "mcfs-m-negative", "mcfs-restarts-0", "sc-restarts-0", "pipeline-k-0"],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, count):
+    data, labels = _make_dataset(tmp_path)
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--input", str(data), "--labels", str(labels), *count,
+              "--out", str(out)])
+    assert err.value.code == 1
+    assert "expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parameter_conflicts_exit_one(tmp_path):
@@ -484,9 +431,8 @@ def test_lcs_rejects_malformed_graph_file(tmp_path, capsys, text, problem):
             b"# sfg d=2 failed=\n0\t1\t0.5 \xe9\n",
             ["lcs", "--theta", "0.5", "--out", "p.txt", "--graph"],
         ),
-        ("run.cfg", b"k = 2  # caf\xe9\n", ["pipeline", "--config"]),
     ],
-    ids=["csv", "labels", "graph", "config"],
+    ids=["csv", "labels", "graph"],
 )
 def test_reader_rejects_latin1_bytes(tmp_path, monkeypatch, capsys, name, content, argv):
     monkeypatch.chdir(tmp_path)

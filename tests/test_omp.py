@@ -55,7 +55,20 @@ def test_exact_atom_match_selects_only_that_atom():
     assert rep.residual_norms.shape == (2,)
     assert abs(rep.residual_norms[0] - 1.0) < 1e-12
     assert rep.final_residual < 1e-20
-    assert rep.stop_reason == STOP_NO_ATOM
+    assert rep.stop_reason == STOP_CONVERGED
+
+
+def test_duplicate_column_fit_stops_converged_on_its_twin():
+    # Leave-one-out, as the graph build fits: column 1 is column 4's twin.
+    # The fit is exact after one atom, which ends it as converged even though
+    # the residual changed by far more than epsilon.
+    rng = np.random.default_rng(5)
+    cols = _random_unit_dictionary(12, 6, rng)
+    cols[:, 4] = cols[:, 1]
+    support, _, trace, reason = _greedy_fit(cols, cols[:, 1], 1e-6, exclude=1)
+    assert support == [4]
+    assert len(trace) == 2 and trace[-1] <= CORRELATION_FLOOR**2
+    assert reason == STOP_CONVERGED
 
 
 def test_two_atom_combination_recovers_both_weights():
@@ -158,13 +171,16 @@ def test_stopping_reason_matches_its_condition():
         seen.add(rep.stop_reason)
         trace = rep.residual_norms
         if rep.stop_reason == STOP_CONVERGED:
-            assert abs(trace[-1] - trace[-2]) <= epsilon
+            # the residual stopped changing, or the fit is exact
+            exact = trace[-1] <= CORRELATION_FLOOR**2
+            assert abs(trace[-1] - trace[-2]) <= epsilon or exact
         elif rep.stop_reason == STOP_SUPPORT_LIMIT:
             assert rep.support.size == min(cap, p)
         else:
             # the documented third arm: no remaining atom can make progress
             assert rep.stop_reason == STOP_NO_ATOM
             assert rep.support.size <= min(cap, p)
+            assert trace[-1] > CORRELATION_FLOOR**2
     assert STOP_CONVERGED in seen
     assert STOP_SUPPORT_LIMIT in seen
 
@@ -187,6 +203,8 @@ def test_numerically_dependent_atom_is_banned_then_nothing_remains():
     assert rep.stop_reason == STOP_NO_ATOM
     oracle = _ls_oracle(cols, rep.support, target)
     np.testing.assert_allclose(rep.coefficients, oracle, atol=1e-10)
+    args = (cols, target, 1e-12, cols.shape[1])
+    _assert_same_fit(_greedy_fit(*args), _cholesky_greedy_fit(*args), "dependent atom")
 
 
 def test_nearly_dependent_atom_above_the_floor_is_accepted():
@@ -364,6 +382,9 @@ def _cholesky_greedy_fit(cols, target, epsilon, max_support, exclude=None, pre_b
         if k >= cap:
             reason = STOP_SUPPORT_LIMIT
             break
+        if trace[-1] <= CORRELATION_FLOOR**2:
+            reason = STOP_CONVERGED
+            break
 
     return support, coef, trace, reason
 
@@ -414,4 +435,6 @@ def test_matches_cholesky_oracle_on_random_dictionaries():
         got = _greedy_fit(*args)
         _assert_same_fit(got, _cholesky_greedy_fit(*args), f"trial {trial}")
         reasons.add(got[3])
-    assert reasons == {STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM}
+    # Gaussian atoms run out only on exact fits, which stop as converged; the
+    # no-usable-atom arm is compared on the dependent-atom dictionary above.
+    assert reasons == {STOP_CONVERGED, STOP_SUPPORT_LIMIT}

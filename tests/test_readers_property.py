@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfgraph import FeatureMatrix, SfgraphError, load_csv, load_labels, load_sfg
-from sfgraph.cli import _CONFIG_KEYS, _read_config_file
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -97,15 +96,3 @@ def test_load_sfg_returns_a_valid_graph_or_raises_sfgraph_error(scratch, header,
         assert not np.any(coo.row == coo.col)
         assert np.all(np.isfinite(coo.data))
         assert all(0 <= i < d for i in graph.failed_nodes)
-
-
-_key = st.one_of(st.sampled_from(sorted(_CONFIG_KEYS)), _junk)
-_setting = st.builds("{} = {}".format, _key, st.one_of(_token, st.lists(_number).map(",".join)))
-
-
-@SETTINGS
-@given(text=_lines(st.one_of(_setting, _junk)))
-def test_config_reader_returns_settings_or_raises_sfgraph_error(scratch, text):
-    values = _read(_read_config_file, scratch, text)
-    if values is not None:
-        assert set(values) <= set(_CONFIG_KEYS)
