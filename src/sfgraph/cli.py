@@ -3,8 +3,9 @@
 Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``lcs``, ``reduce``, ``eval-sc``, ``eval-mcfs``) plus the end-to-end
 ``pipeline`` run.  Every setting of a run is a flag of its subcommand.
-``--k``, ``--m`` and ``--restarts`` take integers of at least 1, so a bad
-count is a usage error before any file is read.
+``--k``, ``--m`` and ``--restarts`` take integers of at least 1 and
+``--seed`` one of at least 0, so a bad count or seed is a usage error before
+any file is read.
 Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data,
 3 numerical failure; an error's code is its class's ``exit_code``.
 """
@@ -45,15 +46,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _count(value: str) -> int:
-    """argparse type of ``--k``, ``--m`` and ``--restarts``: an integer >= 1."""
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
-    return count
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = low - 1
+        if number < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+_count = _int_at_least(1)  # --k, --m and --restarts
+_seed = _int_at_least(0)  # every --seed
 
 
 def _label_column(value: str):
@@ -249,7 +260,7 @@ def _add_cluster_flags(p) -> None:
     p.add_argument("--k", type=_count, required=True, help="number of clusters")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=PipelineConfig.seed,
         help="RNG seed (default %(default)s)",
     )
@@ -279,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mixtures", type=int, default=SynthSpec.mixture_features)
     p.add_argument("--noise", type=int, default=SynthSpec.noise_features)
     p.add_argument("--mixture-noise", type=float, default=SynthSpec.mixture_noise)
-    p.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p.add_argument("--seed", type=_seed, default=SynthSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

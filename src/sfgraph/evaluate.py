@@ -234,6 +234,8 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
         raise ParameterError(f"k must lie in [1, {n}] for {n} points, got {k}")
     if restarts < 1:
         raise ParameterError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     best: KMeansResult | None = None
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])

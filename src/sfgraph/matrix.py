@@ -3,12 +3,20 @@
 Everything downstream works on a ``FeatureMatrix``: an n-samples x d-features
 float64 array stored column-major, because all heavy access patterns in this
 package walk whole feature columns.
+
+Dataset CSVs are written with shortest round-trip floats (``repr``) and CRLF
+line endings, with header names quoted as the ``csv`` module quotes them.
+Every cell is read with ``float()`` after stripping surrounding whitespace;
+a file's cells are converted in one pass, and only a file that fails is
+scanned row by row to name its first faulty row or cell.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -87,6 +95,22 @@ def _parse_cell(cell: str) -> float | None:
         return None
 
 
+def _raise_first_fault(path, line_nos, rows, width) -> NoReturn:
+    """Raise the :class:`ParseError` of the first ragged row or non-numeric
+    cell in file order; a row's width is checked before its cells."""
+    for line_no, row in zip(line_nos, rows):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: ragged row {line_no}: {len(row)} cells, expected {width}"
+            )
+        for c, cell in enumerate(row):
+            if _parse_cell(cell.strip()) is None:
+                raise ParseError(
+                    f"{path}: non-numeric cell at row {line_no}, column {c}: {cell!r}"
+                )
+    raise AssertionError(f"{path}: no faulty row or cell to report")
+
+
 def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]:
     """Load a rectangular numeric CSV file.
 
@@ -137,19 +161,16 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
         raise ParseError(
             f"{path}: header has {len(header)} cells, row {line_nos[0]} has {width}"
         )
-    parsed = np.empty((len(data_rows), width), dtype=np.float64)
-    for line_no, row, out in zip(line_nos, data_rows, parsed):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: ragged row {line_no}: {len(row)} cells, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            v = _parse_cell(cell.strip())
-            if v is None:
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {line_no}, column {c}: {cell!r}"
-                )
-            out[c] = v
+    if any(len(row) != width for row in data_rows):
+        _raise_first_fault(path, line_nos, data_rows, width)
+    try:
+        parsed = np.fromiter(
+            map(float, map(str.strip, itertools.chain.from_iterable(data_rows))),
+            np.float64,
+            count=len(data_rows) * width,
+        ).reshape(len(data_rows), width)
+    except ValueError:
+        _raise_first_fault(path, line_nos, data_rows, width)
     bad = np.argwhere(~np.isfinite(parsed))
     if bad.size:
         r, c = (int(x) for x in bad[0])
@@ -220,10 +241,10 @@ def load_labels(path) -> np.ndarray:
 def save_csv(path, matrix: FeatureMatrix) -> None:
     """Write a feature matrix as CSV, with a header row when names exist."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if matrix.feature_names is not None:
-            writer.writerow(matrix.feature_names)
-        writer.writerows(matrix.values.tolist())
+            csv.writer(fh).writerow(matrix.feature_names)
+        # What csv.writer writes for floats: repr, never quoted, CRLF.
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.values.tolist())
 
 
 def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray]:
@@ -249,4 +270,5 @@ def pairwise_euclidean(samples) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D sample matrix, got {x.ndim}-D")
-    return squareform(pdist(x, metric="euclidean"))
+    # pdist is markedly slower on the column-major layout FeatureMatrix keeps.
+    return squareform(pdist(np.ascontiguousarray(x), metric="euclidean"))

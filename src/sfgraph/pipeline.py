@@ -82,6 +82,8 @@ class PipelineConfig:
                 raise ParameterError(f"mcfs count must be at least 1, got {m}")
         if self.restarts < 1:
             raise ParameterError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     def as_dict(self) -> dict:
         """The report's config record: every field but ``n_jobs``, which does

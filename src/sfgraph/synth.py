@@ -67,6 +67,8 @@ class SynthSpec:
             raise ParameterError("within_std must be positive")
         if self.mixture_noise < 0.0:
             raise ParameterError("mixture_noise must be non-negative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_features(self) -> int:

@@ -345,6 +345,24 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "eval-sc", "eval-mcfs", "pipeline"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    data, labels = _make_dataset(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "never"
+    if command == "synth":
+        argv = ["synth", "--n", "40", "--base", "6"]
+    else:
+        argv = [command, "--input", str(data), "--labels", str(labels), "--k", "2"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1", "--out", str(out)])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "expected an integer >= 0, got '-1'" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_parameter_conflicts_exit_one(tmp_path):
     data, labels = _make_dataset(tmp_path)
     code = main(

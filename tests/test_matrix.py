@@ -218,3 +218,17 @@ def test_pairwise_euclidean_matches_brute_force():
         np.testing.assert_allclose(dist, dist.T, atol=0)
         np.testing.assert_array_equal(np.diag(dist), np.zeros(n))
 
+
+
+def test_pairwise_euclidean_is_layout_independent():
+    rng = np.random.default_rng(12)
+    matrix = FeatureMatrix(rng.normal(size=(30, 7)))
+    assert matrix.values.flags.f_contiguous and not matrix.values.flags.c_contiguous
+    from_f = pairwise_euclidean(matrix)
+    from_c = pairwise_euclidean(np.ascontiguousarray(matrix.values))
+    assert from_f.tobytes() == from_c.tobytes()
+    subset = matrix.subset([5, 0, 3])
+    assert (
+        pairwise_euclidean(subset).tobytes()
+        == pairwise_euclidean(np.ascontiguousarray(subset.values)).tobytes()
+    )

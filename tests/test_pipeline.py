@@ -16,6 +16,7 @@ from sfgraph import (
     filter_failed,
     generate,
     find_lcs,
+    kmeans,
     normalize_features,
     run_pipeline,
     render_report,
@@ -296,6 +297,20 @@ def test_config_validation():
         PipelineConfig(k_clusters=2, mcfs_counts=(0,))
     with pytest.raises(ParameterError):
         PipelineConfig(k_clusters=2, restarts=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PipelineConfig(k_clusters=2, seed=-1),
+        lambda: SynthSpec(n_samples=10, base_features=2, seed=-1),
+        lambda: kmeans(np.eye(4), 2, seed=-1),
+    ],
+    ids=["PipelineConfig", "SynthSpec", "kmeans"],
+)
+def test_negative_seed_is_a_parameter_error(build):
+    with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+        build()
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,28 @@
 """Property tests for the file readers: any file text gives either a result
 that satisfies the reader's contract or an ``SfgraphError``, never another
-exception."""
+exception.  The CSV reader and writer are also checked against per-cell
+reference versions, value for value and byte for byte."""
+
+import csv
+import locale
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfgraph import FeatureMatrix, SfgraphError, load_csv, load_labels, load_sfg
+from sfgraph import (
+    DataError,
+    DimensionError,
+    FeatureMatrix,
+    ParameterError,
+    ParseError,
+    SfgraphError,
+    load_csv,
+    load_labels,
+    load_sfg,
+    save_csv,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -96,3 +111,206 @@ def test_load_sfg_returns_a_valid_graph_or_raises_sfgraph_error(scratch, header,
         assert not np.any(coo.row == coo.col)
         assert np.all(np.isfinite(coo.data))
         assert all(0 <= i < d for i in graph.failed_nodes)
+
+
+# --------------------------------------------------------------------------
+# load_csv and save_csv against per-cell references
+
+
+def _reference_text_lines(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid {exc.encoding} text ({exc.reason})") from None
+
+
+def _reference_parse_cell(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _reference_load_csv(path, label_column=None):
+    """``load_csv`` as a cell-by-cell loop: each cell is stripped, parsed
+    with ``float`` and stored on its own, and the first fault stops it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(_reference_text_lines(fh, path))
+        try:
+            numbered = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if not numbered:
+        raise ParseError(f"{path}: empty file")
+    line_nos, rows = zip(*numbered)
+
+    header = None
+    first = [_reference_parse_cell(c.strip()) for c in rows[0]]
+    if any(v is None for v in first):
+        header = [c.strip() for c in rows[0]]
+        data_rows, line_nos = rows[1:], line_nos[1:]
+    else:
+        data_rows = rows
+    if not data_rows:
+        raise ParseError(f"{path}: no data rows")
+
+    width = len(data_rows[0])
+    if header is not None and len(header) != width:
+        raise ParseError(
+            f"{path}: header has {len(header)} cells, row {line_nos[0]} has {width}"
+        )
+    parsed = np.empty((len(data_rows), width), dtype=np.float64)
+    for line_no, row, out in zip(line_nos, data_rows, parsed):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: ragged row {line_no}: {len(row)} cells, expected {width}"
+            )
+        for c, cell in enumerate(row):
+            v = _reference_parse_cell(cell.strip())
+            if v is None:
+                raise ParseError(
+                    f"{path}: non-numeric cell at row {line_no}, column {c}: {cell!r}"
+                )
+            out[c] = v
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        r, c = (int(x) for x in bad[0])
+        raise DataError(
+            f"{path}: non-finite cell at row {line_nos[r]}, column {c}: "
+            f"{data_rows[r][c]!r}"
+        )
+
+    labels = None
+    if label_column is not None:
+        if isinstance(label_column, str):
+            if header is None:
+                raise ParameterError(
+                    f"label column {label_column!r} given but file has no header row"
+                )
+            try:
+                col = header.index(label_column)
+            except ValueError:
+                raise ParameterError(
+                    f"label column {label_column!r} not in header {header}"
+                ) from None
+        else:
+            col = int(label_column)
+            if col < 0:
+                col += width
+            if not 0 <= col < width:
+                raise ParameterError(
+                    f"label column index {label_column} out of range for {width} columns"
+                )
+        raw = parsed[:, col]
+        if not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)):
+            raise ParseError(
+                f"{path}: label column holds values that are not 64-bit integers"
+            )
+        labels = raw.astype(np.int64)
+        keep = [j for j in range(width) if j != col]
+        parsed = parsed[:, keep]
+        if header is not None:
+            header = [header[j] for j in keep]
+
+    if parsed.shape[0] < 2 or parsed.shape[1] < 2:
+        raise DimensionError(
+            f"{path}: need at least 2 samples and 2 features, "
+            f"got {parsed.shape[0]}x{parsed.shape[1]}"
+        )
+    return FeatureMatrix(parsed, tuple(header) if header is not None else None), labels
+
+
+def _encodable(text):
+    try:
+        text.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+# Numbers whose parse hinges on the strip or on float's own grammar: padding,
+# the separators U+001C-U+001F that only the strip removes, digit grouping,
+# non-ASCII digits, quoted numbers and exponents.
+_tricky = st.sampled_from(
+    [" 2 ", "1_0", "  1.5", "\x1c1.5", "\x1f-3\x1d", '"3.25"', '" -7 "', "1e3", "-2.5E-4"]
+    + [digits for digits in ["١٢"] if _encodable(digits)]
+)
+_cell = st.one_of(_number, _tricky, _tricky)
+_oracle_table = st.one_of(
+    _table,
+    # Rectangular, numeric and at least 2x2, so that many examples parse.
+    st.integers(2, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(_cell, min_size=width, max_size=width).map(",".join),
+            min_size=2,
+            max_size=8,
+        ).map(lambda rows: "\n".join(rows) + "\n")
+    ),
+    # Rows of any width, with faults on any number of them.
+    _lines(st.lists(st.one_of(_cell, _token), min_size=1, max_size=4).map(",".join)),
+)
+
+
+def _outcome(reader, path, label_column):
+    try:
+        matrix, labels = reader(path, label_column)
+    except SfgraphError as exc:
+        return type(exc), str(exc)
+    return (
+        matrix.values.shape,
+        matrix.values.tobytes(),
+        matrix.feature_names,
+        None if labels is None else labels.tobytes(),
+    )
+
+
+@SETTINGS
+@given(
+    text=_oracle_table,
+    label_column=st.one_of(st.none(), st.integers(-4, 4), _junk),
+)
+@example(text="\x1c1.5,2\n3,4\n", label_column=None)
+@example(text="a,b\n1,2\n3,x,5\n6,y\n", label_column=None)
+@example(text='1,"0x10"\n2,3\n4\n5,z\n', label_column=0)
+def test_load_csv_matches_the_per_cell_reference(scratch, text, label_column):
+    scratch.write_text(text)
+    assert _outcome(load_csv, scratch, label_column) == _outcome(
+        _reference_load_csv, scratch, label_column
+    )
+
+
+def _reference_save_csv(path, matrix):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if matrix.feature_names is not None:
+            writer.writerow(matrix.feature_names)
+        writer.writerows(matrix.values.tolist())
+
+
+_value = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5]
+    ),
+)
+_name = st.text(st.sampled_from('ab1 ,"\';\t'), max_size=5)
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(0, 5))
+    d = draw(st.integers(0, 4))
+    values = np.array(
+        draw(st.lists(_value, min_size=n * d, max_size=n * d)), dtype=np.float64
+    ).reshape(n, d)
+    names = draw(st.one_of(st.none(), st.lists(_name, min_size=d, max_size=d)))
+    return FeatureMatrix(values, names)
+
+
+@SETTINGS
+@given(matrix=_matrices())
+def test_save_csv_writes_what_csv_writer_writes(scratch, matrix):
+    reference = scratch.with_name("reference.csv")
+    save_csv(scratch, matrix)
+    _reference_save_csv(reference, matrix)
+    assert scratch.read_bytes() == reference.read_bytes()
