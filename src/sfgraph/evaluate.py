@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .matrix import FeatureMatrix, normalize_features, pairwise_euclidean
-from .omp import _greedy_fit
+from .omp import GramRows, _greedy_fit
 
 __all__ = [
     "SimilarityGraph",
@@ -336,7 +336,8 @@ def mcfs_select(
     columns; the top ``m`` scores win, ties resolved toward the lower feature
     index.  The returned coefficients are those of the normalized
     regressions, so ``scores`` equals the column-wise max of
-    ``|coefficients|`` exactly.
+    ``|coefficients|`` exactly.  The regressions share one cache of Gram
+    rows, so an atom selected for several columns costs one product.
     """
     d = features.n_features
     if not 1 <= m <= d:
@@ -352,13 +353,14 @@ def mcfs_select(
     zero_mask[zero_columns] = True
 
     coefficients = np.zeros((y.shape[1], d))
+    gram = GramRows(normalized.values)
     for col in range(y.shape[1]):
         t = y[:, col]
         tn = np.linalg.norm(t)
         if tn == 0.0:
             continue
         support, coef, _, _ = _greedy_fit(
-            normalized.values, t / tn, MCFS_EPSILON, m, pre_banned=zero_mask
+            normalized.values, t / tn, MCFS_EPSILON, m, pre_banned=zero_mask, gram=gram
         )
         coefficients[col, support] = coef
     scores = np.abs(coefficients).max(axis=0, initial=0.0)

@@ -20,11 +20,31 @@ describes the span, not the target.  Stopped there, such a fit keeps a
 residual, and its reconstruction angle stays large enough for an angle
 filter to reject it; it also no longer pays for the longest, costliest fits.
 
-The solver grows an orthonormal basis Q of the support's span, with
-``cols[:, support] = Q R``, by classical Gram-Schmidt applied twice, and
-removes each new basis direction from the residual in place.  The
-coefficients are solved once, after the last atom, from ``R c = Q^T target``;
-never forming the Gram matrix avoids squaring the support's condition number.
+The pursuit is carried in coefficient space (Batch-OMP in QR form): with
+``cols[:, support] = Q R`` for an orthonormal Q that is never formed, it
+keeps ``P[m] = Q[:, m]^T cols``, ``z = Q^T target`` and the correlations
+``corr = cols^T q`` of the residual q.  Accepting atom j with Gram row
+``G[j] = cols[:, j] @ cols`` takes
+
+    h = P[:k, j],   R[k, k]^2 = G[j, j] - ||h||^2,
+    P[k] = (G[j] - h^T P[:k]) / R[k, k],   z[k] = corr[j] / R[k, k],
+    corr -= z[k] P[k],   r -= z[k]^2,
+
+so a step costs O(k p) for k atoms and p columns and touches no vector of
+sample length.  Gram rows are computed on first use and cached
+(``GramRows``); fits over one dictionary, such as the leave-one-out fits of
+a graph build or the regressions of one MCFS call, share the cache.
+Twins, columns equal up to sign, tie in every correlation; the tie goes to
+the lowest-indexed usable twin by rule, not by the rounding of a product.
+
+Two computations from the data keep the fit accurate.  The running ``r``
+carries about 1e-16 of absolute error, so once it falls below
+``EXPLICIT_RESIDUAL_BELOW`` it is recomputed from the data, which lets the
+exact-fit test fire.  And since R comes from the Gram matrix, ``R c = z``
+alone is Cholesky-grade: the coefficients, solved once after the last atom,
+get one corrected-seminormal-equations step
+``c += R^-1 R^-T A^T (t - A c)`` (Björck 1987), which brings them to QR
+accuracy, and the trace's last entry is the refined fit's explicit residual.
 """
 
 from __future__ import annotations
@@ -32,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ParameterError
 from .matrix import FeatureMatrix
@@ -49,6 +69,10 @@ CORRELATION_FLOOR = 1e-12
 # the current support.  Below this R would be numerically singular and the
 # atom is skipped.
 DEPENDENCE_FLOOR = 1e-12
+# Below this the running squared residual ``r = t.t - sum z^2`` is replaced by
+# the explicit one of the refined coefficients: its rounding error, about
+# 1e-16, is far above the exact-fit test ``r <= CORRELATION_FLOOR**2``.
+EXPLICIT_RESIDUAL_BELOW = 1e-8
 
 # stop_reason values
 STOP_CONVERGED = "converged"  # residual change fell to <= epsilon, or fit is exact
@@ -108,6 +132,76 @@ class SparseRepresentation:
         self.final_residual = float(self.residual_norms[-1])
 
 
+class GramRows:
+    """Rows ``G[j] = cols[:, j] @ cols`` of a dictionary's Gram matrix, each
+    computed when a fit first selects atom j and kept in one p x p array, so
+    a dictionary pays only for the atoms its fits use.
+
+    Threads may share an instance: a row is computed aside and copied in
+    before it is marked known, so a thread that computes it again only
+    rewrites the same values.
+
+    Twins, columns equal up to sign, tie in every correlation, and a tie goes
+    to the lower index.  But a BLAS kernel rounds the columns at the end of a
+    block differently from the others, so no product keeps such ties in every
+    layout; :meth:`lowest_twin` applies the rule directly instead.
+    """
+
+    def __init__(self, cols: np.ndarray) -> None:
+        self.cols = cols
+        p = cols.shape[1]
+        self.rows = np.empty((p, p))
+        self.known = np.zeros(p, dtype=bool)
+        # Twins share |first entry|, so a column has none below it unless it
+        # shares that value with a lower column (a NaN shares it with none).
+        self.key = np.abs(cols[0])
+        _, first, group = np.unique(
+            self.key, return_index=True, return_inverse=True, equal_nan=False
+        )
+        self.lowest_with_key = first[group.reshape(-1)]
+        self.twins: dict[int, np.ndarray] = {}  # column -> its twins, on first need
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if not self.known[j]:
+            # Not matmul(..., out=): BLAS accumulates in its output, and
+            # another thread may already read this row.
+            self.rows[j] = self.cols[:, j] @ self.cols
+            self.known[j] = True
+        return self.rows[j]
+
+    def lowest_twin(self, j: int, banned: np.ndarray) -> int:
+        """The lowest-indexed unbanned twin of column j, or j itself."""
+        if self.lowest_with_key[j] == j:
+            return j
+        twins = self.twins.get(j)
+        if twins is None:
+            same = np.flatnonzero(self.key == self.key[j])
+            others, col = self.cols[:, same], self.cols[:, j, None]
+            equal = (others == col).all(axis=0) | (others == -col).all(axis=0)
+            twins = same[equal | (same == j)]  # j too, should it hold a NaN
+            self.twins.update(dict.fromkeys(twins.tolist(), twins))
+        return int(twins[~banned[twins]][0])
+
+
+def _refined_fit(
+    cols: np.ndarray, target: np.ndarray, support: list[int], R: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Coefficients on ``support`` and the squared norm of their residual.
+
+    ``R c = z`` alone is only as accurate as a Cholesky solve, since R is
+    built from the Gram matrix; one corrected-seminormal-equations step,
+    ``c += R^-1 R^-T A^T (t - A c)``, brings c to QR accuracy.
+    """
+    A = cols[:, support]
+    # LAPACK's triangular solve directly: R's diagonal is at least
+    # sqrt(DEPENDENCE_FLOOR), and solve_triangular's checks cost more than
+    # the solve at these sizes.
+    c = dtrtrs(R, z)[0]
+    c += dtrtrs(R, dtrtrs(R, A.T @ (target - A @ c), trans=1)[0])[0]
+    q = target - A @ c
+    return c, float(q @ q)
+
+
 def _greedy_fit(
     cols: np.ndarray,
     target: np.ndarray,
@@ -115,6 +209,8 @@ def _greedy_fit(
     max_support: int | None = None,
     exclude: int | None = None,
     pre_banned: np.ndarray | None = None,
+    gram: GramRows | None = None,
+    corr: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray, list[float], str]:
     """Core pursuit loop over the columns of ``cols``.
 
@@ -122,6 +218,9 @@ def _greedy_fit(
     instead of copying it minus a column) and ``pre_banned`` marks columns
     that must never be selected, e.g. zero-norm features.  ``max_support``
     None caps the support at ``max(1, n // 2)`` atoms (see ``OmpConfig``).
+    ``gram`` holds the Gram rows of ``cols`` that fits over the same
+    dictionary share; ``corr`` is ``target @ cols`` when the caller has it,
+    and is overwritten.
     """
     n, p = cols.shape
     banned = np.zeros(p, dtype=bool) if pre_banned is None else pre_banned.copy()
@@ -130,45 +229,52 @@ def _greedy_fit(
     if max_support is None:
         max_support = max(1, n // 2)
     cap = min(max_support, p - int(banned.sum()))
+    if gram is None:
+        gram = GramRows(cols)
+    if corr is None:
+        corr = target @ cols
 
     support: list[int] = []
-    q = target.astype(np.float64, copy=True)
-    trace = [float(q @ q)]
-    # cols[:, support] = Q R with orthonormal Q, and z = Q^T target (q differs
-    # from target only along earlier columns of Q).  No more than n atoms can
-    # be independent, so n columns suffice.
+    r = float(target @ target)
+    trace = [r]
+    # cols[:, support] = Q R with orthonormal Q, carried without Q itself:
+    # P[m] = Q[:, m]^T cols and z = Q^T target.  No more than n atoms can be
+    # independent, so n rows suffice.
     size = min(cap, n)
-    Q = np.empty((n, size), order="F")
+    P = np.empty((size, p))
     R = np.zeros((size, size))
     z = np.empty(size)
     k = 0
-    corr = q @ cols
+    fit = None  # (coefficients, explicit residual) once r is refit from the data
     while True:
         corr[banned] = 0.0
         j = int(np.argmax(np.abs(corr)))
         if abs(corr[j]) <= CORRELATION_FLOOR:
             reason = STOP_NO_ATOM
             break
+        j = gram.lowest_twin(j, banned)
         banned[j] = True
-        # Classical Gram-Schmidt, applied twice so that Q stays orthonormal.
-        Qk = Q[:, :k]
-        h = Qk.T @ cols[:, j]
-        v = cols[:, j] - Qk @ h
-        h2 = Qk.T @ v
-        v -= Qk @ h2
-        v2 = float(v @ v)
-        if v2 <= DEPENDENCE_FLOOR:
-            # Numerically inside the span of the current support: skip it for
-            # good and try the next-best atom.
+        g = gram[j]
+        h = P[:k, j]
+        v2 = float(g[j] - h @ h)
+        if v2 <= DEPENDENCE_FLOOR or k == n:
+            # Numerically inside the span of the current support (n atoms span
+            # every column): skip it for good and try the next-best atom.
             continue
-        R[:k, k] = h + h2
+        R[:k, k] = h
         R[k, k] = np.sqrt(v2)
-        Q[:, k] = v / R[k, k]
-        z[k] = Q[:, k] @ q
-        q -= z[k] * Q[:, k]
+        P[k] = (g - h @ P[:k]) / R[k, k]
+        z[k] = corr[j] / R[k, k]
+        corr -= z[k] * P[k]
+        r -= z[k] ** 2
         support.append(j)
         k += 1
-        trace.append(float(q @ q))
+        if r < EXPLICIT_RESIDUAL_BELOW:
+            # r carries about 1e-16 of absolute error, which would hide an
+            # exact fit from the test below.
+            fit = _refined_fit(cols, target, support, R[:k, :k], z[:k])
+            r = fit[1]
+        trace.append(r)
 
         if abs(trace[-1] - trace[-2]) <= epsilon:
             reason = STOP_CONVERGED
@@ -178,12 +284,15 @@ def _greedy_fit(
             break
         if trace[-1] <= CORRELATION_FLOOR**2:
             # An exact fit: |q . a| <= ||q|| for a unit atom a, so no atom can
-            # clear the correlation floor and another product would be wasted.
+            # clear the correlation floor.
             reason = STOP_CONVERGED
             break
-        corr = q @ cols
 
-    coef = solve_triangular(R[:k, :k], z[:k], check_finite=False)
+    if not support:
+        return support, np.empty(0), trace, reason
+    if fit is None or fit[0].size < k:
+        fit = _refined_fit(cols, target, support, R[:k, :k], z[:k])
+    coef, trace[-1] = fit
     return support, coef, trace, reason
 
 

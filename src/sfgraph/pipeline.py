@@ -154,11 +154,13 @@ def _graph_record(graph: SparseFeatureGraph, filtered: SparseFeatureGraph) -> di
     ``graph`` as built; the failed nodes and the largest absolute weight,
     with its ``[src, dst]`` edge, are those of ``filtered``, whose largest
     weight is the scale theta is measured against.  ``capped_rows`` counts
-    the fits stopped by the support cap, and ``max_abs_weight_row_support``
+    the fits stopped by the support cap, the ``residual_*`` keys summarise
+    the fits' final squared residuals, and ``max_abs_weight_row_support``
     is the support of the fit that holds the largest weight's edge.
     """
     row_sizes = np.diff(graph.weights.indptr)
     support = row_sizes[list(graph.stop_reasons)]
+    residuals = np.fromiter(graph.residuals.values(), dtype=np.float64)
     reasons = Counter(graph.stop_reasons.values())
     weights = filtered.weights.tocoo()
     top = int(np.argmax(np.abs(weights.data))) if weights.nnz else None
@@ -170,6 +172,9 @@ def _graph_record(graph: SparseFeatureGraph, filtered: SparseFeatureGraph) -> di
         "support_max": int(support.max()),
         "stop_reasons": {r: reasons[r] for r in STOP_REASONS},
         "capped_rows": reasons[STOP_SUPPORT_LIMIT],
+        "residual_p50": float(np.percentile(residuals, 50)),
+        "residual_p90": float(np.percentile(residuals, 90)),
+        "residual_max": float(residuals.max()),
         "max_abs_weight": filtered.max_abs_weight(),
         "max_abs_weight_edge": (
             None if top is None else [int(weights.row[top]), int(weights.col[top])]

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ParseError
 from .matrix import FeatureMatrix, _text_lines
-from .omp import UNIT_NORM_TOL, OmpConfig, _greedy_fit
+from .omp import UNIT_NORM_TOL, GramRows, OmpConfig, _greedy_fit
 
 __all__ = [
     "SparseFeatureGraph",
@@ -56,11 +56,15 @@ class SparseFeatureGraph:
     stop_reasons : the solver's stop reason for each fitted node, by node
         index.  Only :func:`build_sfg` knows them, and :func:`filter_failed`
         keeps them; a graph read from a file has none.
+    residuals : the final squared residual of each fitted node's
+        representation, by node index; kept and carried like
+        ``stop_reasons``.
     """
 
     weights: sp.csr_matrix
     failed_nodes: frozenset[int]
     stop_reasons: dict[int, str] = field(default_factory=dict)
+    residuals: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         w = sp.csr_matrix(self.weights)
@@ -82,11 +86,14 @@ class SparseFeatureGraph:
         return float(np.max(np.abs(self.weights.data))) if self.weights.nnz else 0.0
 
 
-def _fit_row(values: np.ndarray, i: int, cfg: OmpConfig, zero_mask: np.ndarray):
-    support, coef, _, reason = _greedy_fit(
-        values, values[:, i], cfg.epsilon, cfg.max_support, exclude=i, pre_banned=zero_mask
+def _fit_row(
+    values: np.ndarray, i: int, cfg: OmpConfig, zero_mask: np.ndarray, gram: GramRows
+):
+    support, coef, trace, reason = _greedy_fit(
+        values, values[:, i], cfg.epsilon, cfg.max_support, exclude=i,
+        pre_banned=zero_mask, gram=gram, corr=gram[i].copy(),
     )
-    return support, coef, reason
+    return support, coef, reason, trace[-1]
 
 
 def build_sfg(
@@ -108,9 +115,11 @@ def build_sfg(
     cannot really represent would reach angle 0 and pass the angle filter.
     Capped, it keeps a residual and its angle shows it; the longest and
     costliest fits are cut short as well.  Each fit's stop reason is kept in
-    ``stop_reasons``.
+    ``stop_reasons`` and its final squared residual in ``residuals``.
 
-    ``n_jobs`` > 1 fans the per-feature fits out to a thread pool; each task
+    The fits share one cache of Gram rows ``values[:, j] @ values``, filled
+    as atoms are first selected (at most d x d doubles).  ``n_jobs`` > 1 fans
+    the per-feature fits out to a thread pool over the same cache; each task
     writes only its own row, so the result is identical for any job count.
     """
     cfg = config if config is not None else OmpConfig()
@@ -130,19 +139,21 @@ def build_sfg(
         )
 
     live = np.flatnonzero(~zero_mask)
+    gram = GramRows(values)
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(lambda i: _fit_row(values, i, cfg, zero_mask), live))
+            fits = list(pool.map(lambda i: _fit_row(values, i, cfg, zero_mask, gram), live))
     else:
-        fits = [_fit_row(values, i, cfg, zero_mask) for i in live]
+        fits = [_fit_row(values, i, cfg, zero_mask, gram) for i in live]
 
     # The empty leading arrays keep concatenate defined when no column is live.
-    rows = np.repeat(live, [len(s) for s, _, _ in fits])
-    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [s for s, _, _ in fits])
-    vals = np.concatenate([np.empty(0)] + [c for _, c, _ in fits])
+    rows = np.repeat(live, [len(s) for s, _, _, _ in fits])
+    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [s for s, _, _, _ in fits])
+    vals = np.concatenate([np.empty(0)] + [c for _, c, _, _ in fits])
     weights = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.float64)
-    reasons = {int(i): reason for i, (_, _, reason) in zip(live, fits)}
-    return SparseFeatureGraph(weights, np.flatnonzero(zero_mask), reasons)
+    reasons = {int(i): fit[2] for i, fit in zip(live, fits)}
+    residuals = {int(i): fit[3] for i, fit in zip(live, fits)}
+    return SparseFeatureGraph(weights, np.flatnonzero(zero_mask), reasons, residuals)
 
 
 def representation_angle(graph: SparseFeatureGraph, features: FeatureMatrix) -> np.ndarray:
@@ -189,7 +200,7 @@ def filter_failed(
     weights.data[np.repeat(rejected, np.diff(weights.indptr))] = 0.0
     newly_failed = frozenset(np.flatnonzero(rejected).tolist())
     return SparseFeatureGraph(
-        weights, graph.failed_nodes | newly_failed, graph.stop_reasons
+        weights, graph.failed_nodes | newly_failed, graph.stop_reasons, graph.residuals
     )
 
 

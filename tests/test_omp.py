@@ -6,15 +6,20 @@ whole fit against a reference pursuit that re-solves the normal equations
 through a Cholesky factor on every iteration.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from sfgraph import (
+    FeatureMatrix,
     OmpConfig,
     ParameterError,
     SparseRepresentation,
     SynthSpec,
+    build_sfg,
     generate,
     normalize_features,
     omp,
@@ -26,6 +31,7 @@ from sfgraph.omp import (
     STOP_CONVERGED,
     STOP_NO_ATOM,
     STOP_SUPPORT_LIMIT,
+    GramRows,
     _greedy_fit,
 )
 
@@ -438,3 +444,76 @@ def test_matches_cholesky_oracle_on_random_dictionaries():
     # Gaussian atoms run out only on exact fits, which stop as converged; the
     # no-usable-atom arm is compared on the dependent-atom dictionary above.
     assert reasons == {STOP_CONVERGED, STOP_SUPPORT_LIMIT}
+
+
+def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
+    # Exact twins at the first and, negated, at the last column, across a
+    # block of 4 columns (3 and 4) and inside one (9 and 10); mixtures over one
+    # member of each pair make many fits meet a tie between twins.  A BLAS
+    # product rounds the columns at the end of a block differently, so the
+    # tie would follow the layout (omp() below sees 23 columns, the graph
+    # 24).  The rule, the lowest-indexed usable twin, is given to the oracle
+    # as banned columns; the solver must find it alone.  The cap, n // 2 =
+    # 18 atoms, stays below the 20 columns usable in each fit.
+    rng = np.random.default_rng(21)
+    n, d = 36, 24
+    cols = rng.normal(size=(n, d))
+    pairs = [(0, 7), (3, 4), (9, 10), (13, 23)]
+    for a, b in pairs:
+        cols[:, b] = cols[:, a]
+    cols[:, 23] *= -1.0
+    for m, (a, b) in zip((15, 16, 17, 18), pairs):
+        cols[:, m] = 0.7 * cols[:, b] + 0.5 * cols[:, m - 10] + 0.01 * rng.normal(size=n)
+    values = cols / np.linalg.norm(cols, axis=0)
+    graph = build_sfg(FeatureMatrix(values))
+    twins = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+    for i in range(d):
+        where = f"row {i}"
+        row = graph.weights[i]
+        rep = omp(np.delete(values, i, axis=1), values[:, i])
+        dst = np.where(rep.support < i, rep.support, rep.support + 1)
+        rule = np.zeros(d, dtype=bool)
+        for a, b in pairs:
+            rule[b] = i != a
+        support, coef, _, reason = _cholesky_greedy_fit(
+            values, values[:, i], 1e-6, n // 2, exclude=i, pre_banned=rule
+        )
+        np.testing.assert_array_equal(dst, support, err_msg=where)
+        np.testing.assert_array_equal(np.sort(dst), row.indices, err_msg=where)
+        assert graph.stop_reasons[i] == rep.stop_reason == reason, where
+        scale = max(1.0, float(np.max(np.abs(coef))))
+        np.testing.assert_allclose(
+            row.data, coef[np.argsort(support)], rtol=0, atol=1e-8 * scale, err_msg=where
+        )
+        if i in twins:
+            assert support == [twins[i]] and reason == STOP_CONVERGED, where
+            assert abs(abs(coef[0]) - 1.0) <= 1e-12, where
+
+
+def test_threads_sharing_gram_rows_read_only_finished_rows():
+    # More threads than cores walk the same rows in step, so several compute
+    # one row at once while others already read it.  BLAS accumulates in its
+    # output, so a row it wrote in place would be read half-summed.
+    rng = np.random.default_rng(9)
+    cols = rng.normal(size=(40, 1500))
+    want = [cols[:, j] @ cols for j in range(cols.shape[1])]
+    gram = GramRows(cols)
+    bad = []
+    start = threading.Barrier(4)
+
+    def walk():
+        start.wait(timeout=10)
+        bad.extend(j for j in range(cols.shape[1]) if not np.array_equal(gram[j], want[j]))
+
+    threads = [threading.Thread(target=walk) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []

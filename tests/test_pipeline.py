@@ -100,6 +100,23 @@ def test_graph_block_reports_the_solver_diagnostics():
     assert block["max_abs_weight_edge"] == [src, dst]
 
 
+def test_graph_block_reports_the_final_residuals():
+    matrix, labels, _ = _wide_dataset()
+    block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]
+    graph = build_sfg(normalize_features(matrix)[0])
+    residuals = np.array(list(graph.residuals.values()))
+    assert residuals.size == matrix.n_features
+    keys = list(block)
+    at = keys.index("capped_rows")
+    assert keys[at + 1 : at + 4] == ["residual_p50", "residual_p90", "residual_max"]
+    assert block["residual_p50"] == float(np.percentile(residuals, 50))
+    assert block["residual_p90"] == float(np.percentile(residuals, 90))
+    assert block["residual_max"] == float(residuals.max())
+    # capped rows keep a residual, and an exact duplicate's fit leaves none
+    assert 0.0 <= block["residual_p50"] <= block["residual_p90"] <= block["residual_max"] <= 1.0
+    assert block["residual_max"] > 0.0 and min(residuals) <= 1e-24
+
+
 def test_graph_block_reports_the_support_of_the_largest_weight_row():
     matrix, labels, _ = _wide_dataset()
     block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]

@@ -143,6 +143,41 @@ def test_capped_noise_rows_fail_the_angle_filter():
     assert not noise & filter_failed(uncapped, features, max_angle).failed_nodes
 
 
+def test_rows_match_least_squares_on_a_tall_shape():
+    # n > d with mixtures 1e-3 off their parents: supports with a mixture and
+    # its parents are ill-conditioned.  R comes from the Gram matrix, so R c = z
+    # alone misses this bound by orders of magnitude; the refinement step of
+    # the solver has to bring every row to QR accuracy.
+    spec = SynthSpec(
+        n_samples=250, base_features=32, clusters=10, separation=8.0,
+        duplicate_pairs=16, mixture_features=8, noise_features=8, seed=0,
+    )
+    features = normalize_features(generate(spec)[0])[0]
+    values = features.values
+    graph = build_sfg(features)
+    w = graph.weights
+    for i in range(features.n_features):
+        support, coef = w.indices[w.indptr[i] : w.indptr[i + 1]], w[i].data
+        ref = np.linalg.lstsq(values[:, support], values[:, i], rcond=None)[0]
+        scale = max(1.0, float(np.max(np.abs(coef))))
+        np.testing.assert_allclose(coef, ref, rtol=0, atol=1e-10 * scale, err_msg=f"row {i}")
+
+
+def test_final_residuals_are_kept_per_fitted_node():
+    features, _ = _wide_synth(2)
+    values = features.values
+    graph = build_sfg(features)
+    assert set(graph.residuals) == set(graph.stop_reasons)
+    for i in (0, 70, 120, 150):  # base, duplicate, mixture and noise columns
+        rep = omp(np.delete(values, i, axis=1), values[:, i])
+        assert abs(graph.residuals[i] - rep.final_residual) <= 1e-12, f"row {i}"
+        recon = graph.weights[i] @ values.T
+        explicit = float(np.sum((values[:, i] - recon) ** 2))
+        assert abs(graph.residuals[i] - explicit) <= 1e-12, f"row {i}"
+    filtered = filter_failed(graph, features, np.deg2rad(15.0))
+    assert filtered.residuals == graph.residuals
+
+
 def test_build_rejects_non_unit_columns_by_index():
     cols = np.eye(3)
     cols[:, 2] *= 3.0
@@ -167,6 +202,7 @@ def test_thread_pool_result_is_identical_to_sequential():
     np.testing.assert_array_equal(seq.weights.indptr, par.weights.indptr)
     np.testing.assert_array_equal(seq.weights.indices, par.weights.indices)
     np.testing.assert_array_equal(seq.weights.data, par.weights.data)
+    assert seq.stop_reasons == par.stop_reasons and seq.residuals == par.residuals
 
 
 def test_in_degrees_match_brute_force():
