@@ -46,7 +46,6 @@ from .matrix import (
 from .omp import OmpConfig, SparseRepresentation, omp, reconstruct
 from .pipeline import PipelineConfig, render_report, run_pipeline
 from .sfg import (
-    AngleReport,
     SparseFeatureGraph,
     angle_histogram,
     build_sfg,
@@ -82,7 +81,6 @@ __all__ = [
     "reconstruct",
     # graph
     "SparseFeatureGraph",
-    "AngleReport",
     "build_sfg",
     "representation_angle",
     "filter_failed",

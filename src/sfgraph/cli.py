@@ -103,7 +103,6 @@ def cmd_synth(args) -> int:
         duplicate_pairs=args.dup_pairs,
         mixture_features=args.mixtures,
         noise_features=args.noise,
-        mixture_noise=args.mixture_noise,
         seed=args.seed,
     )
     matrix, labels, truth = generate(spec)
@@ -123,10 +122,9 @@ def cmd_sfg(args) -> int:
     features, _ = _load_dataset(args)
     normalized, _ = normalize_features(features)
     graph = build_sfg(normalized, OmpConfig(epsilon=args.epsilon))
-    if args.angles:
-        hist = angle_histogram(graph, normalized)
-        write_angles_csv(args.angles, hist.bin_edges, hist.counts, hist.overflow)
     filtered = filter_failed(graph, normalized, np.deg2rad(args.max_angle_deg))
+    if args.angles:
+        write_angles_csv(args.angles, **angle_histogram(filtered.angles))
     save_sfg(filtered, args.out)
     print(
         f"graph: {filtered.n_nodes} nodes, {filtered.weights.nnz} edges, "
@@ -179,7 +177,7 @@ def cmd_eval_sc(args) -> int:
     labels = _require_labels(labels)
     normalized, _ = normalize_features(features)
     _, sigma, nmi, acc = cluster_scores(
-        normalized, labels, args.k, args.seed, args.restarts, sigma=args.sigma
+        normalized, labels, args.k, args.seed, args.restarts
     )
     write_json(
         {
@@ -289,7 +287,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dup-pairs", type=int, default=SynthSpec.duplicate_pairs)
     p.add_argument("--mixtures", type=int, default=SynthSpec.mixture_features)
     p.add_argument("--noise", type=int, default=SynthSpec.noise_features)
-    p.add_argument("--mixture-noise", type=float, default=SynthSpec.mixture_noise)
     p.add_argument("--seed", type=_seed, default=SynthSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -316,7 +313,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-sc", help="spectral clustering agreement with labels")
     _add_dataset_flags(p)
-    p.add_argument("--sigma", type=float, default=None, help="kernel width override")
     _add_cluster_flags(p)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_eval_sc)

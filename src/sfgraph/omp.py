@@ -296,15 +296,10 @@ def _greedy_fit(
     return support, coef, trace, reason
 
 
-def _check_unit_columns(cols: np.ndarray, what: str = "dictionary column") -> None:
-    norms = np.linalg.norm(cols, axis=0)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
-    if bad.size:
-        j = int(bad[0])
-        raise ParameterError(
-            f"{what} {j} is not unit-norm (norm {norms[j]:.6g}); "
-            f"normalize features first"
-        )
+def _not_unit_norm(norms):
+    """True where a norm is not 1 within ``UNIT_NORM_TOL``; a NaN norm never
+    is, because every comparison with NaN is False."""
+    return ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
 
 
 def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresentation:
@@ -333,9 +328,16 @@ def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresenta
             f"target length {t.shape[0]} does not match dictionary rows {cols.shape[0]}"
         )
     cfg = config if config is not None else OmpConfig()
-    _check_unit_columns(cols)
+    norms = np.linalg.norm(cols, axis=0)
+    bad = np.flatnonzero(_not_unit_norm(norms))
+    if bad.size:
+        j = int(bad[0])
+        raise ParameterError(
+            f"dictionary column {j} is not unit-norm (norm {norms[j]:.6g}); "
+            f"normalize features first"
+        )
     tnorm = np.linalg.norm(t)
-    if abs(tnorm - 1.0) > UNIT_NORM_TOL:
+    if _not_unit_norm(tnorm):
         raise ParameterError(
             f"target is not unit-norm (norm {tnorm:.6g}); normalize it first"
         )

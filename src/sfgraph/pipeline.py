@@ -104,15 +104,14 @@ def _stage(name: str, timings: dict):
         timings[name] = (time.perf_counter() - start) * 1000.0
 
 
-def cluster_scores(
-    matrix: FeatureMatrix, labels, k: int, seed: int, restarts: int, sigma=None
-):
+def cluster_scores(matrix: FeatureMatrix, labels, k: int, seed: int, restarts: int):
     """(embedding, sigma, nmi, acc) of spectral clustering on one matrix.
 
-    ``sigma`` defaults to the mean pairwise sample distance.  Without
-    ``labels`` only the embedding is computed and both scores are None.
+    ``sigma`` is the kernel width, the mean pairwise sample distance.
+    Without ``labels`` only the embedding is computed and both scores are
+    None.
     """
-    sim = gaussian_similarity(matrix, sigma=sigma)
+    sim = gaussian_similarity(matrix)
     emb = spectral_embedding(sim, k)
     if labels is None:
         return emb, sim.sigma, None, None
@@ -218,9 +217,6 @@ def run_pipeline(
             normalized, OmpConfig(epsilon=config.epsilon), n_jobs=config.n_jobs
         )
 
-    with _stage("angle_histogram", timings):
-        report_angles = angle_histogram(graph, normalized)
-
     with _stage("filter", timings):
         filtered = filter_failed(graph, normalized, np.deg2rad(config.max_angle_deg))
 
@@ -280,11 +276,7 @@ def run_pipeline(
             "zero_norm_features": [int(j) for j in zero_columns],
         },
         "graph": _graph_record(graph, filtered),
-        "angles": {
-            "bin_edges": [float(e) for e in report_angles.bin_edges],
-            "counts": [int(c) for c in report_angles.counts],
-            "overflow": int(report_angles.overflow),
-        },
+        "angles": angle_histogram(filtered.angles),
         "baseline": {
             "theta": None,
             "retained": normalized.n_features,

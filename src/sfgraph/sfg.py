@@ -10,7 +10,10 @@ by the subgraph stage.
 Nodes whose reconstruction is poor (large angle between the feature and its
 reconstruction) are marked *failed*: their out-edges say nothing reliable and
 are dropped, while edges pointing at them are kept, since those encode other
-features' valid representations.
+features' valid representations.  The filter measures every node's angle once
+and keeps those angles on the graph it returns (``SparseFeatureGraph.angles``);
+``angle_histogram(angles)`` bins them for the report, so no stage measures
+them again.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ParseError
 from .matrix import FeatureMatrix, _text_lines
-from .omp import UNIT_NORM_TOL, GramRows, OmpConfig, _greedy_fit
+from .omp import GramRows, OmpConfig, _greedy_fit, _not_unit_norm
 
 __all__ = [
     "SparseFeatureGraph",
-    "AngleReport",
     "build_sfg",
     "representation_angle",
     "filter_failed",
@@ -59,12 +61,16 @@ class SparseFeatureGraph:
     residuals : the final squared residual of each fitted node's
         representation, by node index; kept and carried like
         ``stop_reasons``.
+    angles : the per-node reconstruction angles (radians) that
+        :func:`filter_failed` measured on its input graph, NaN where an angle
+        is undefined; None on a graph that was built or loaded.
     """
 
     weights: sp.csr_matrix
     failed_nodes: frozenset[int]
     stop_reasons: dict[int, str] = field(default_factory=dict)
     residuals: dict[int, float] = field(default_factory=dict)
+    angles: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = sp.csr_matrix(self.weights)
@@ -130,7 +136,7 @@ def build_sfg(
 
     norms = np.linalg.norm(values, axis=0)
     zero_mask = norms == 0.0
-    bad = np.flatnonzero(~zero_mask & (np.abs(norms - 1.0) > UNIT_NORM_TOL))
+    bad = np.flatnonzero(~zero_mask & _not_unit_norm(norms))
     if bad.size:
         j = int(bad[0])
         raise ParameterError(
@@ -188,6 +194,8 @@ def filter_failed(
     A node fails when its angle exceeds ``max_angle`` (radians) or is
     undefined.  In-edges of failed nodes are left untouched.  The operation
     is idempotent: surviving rows are unchanged, so their angles do not move.
+    The returned graph keeps the angles measured here, rejected nodes'
+    included, as ``angles``.
     """
     if not 0.0 < max_angle <= np.pi / 2.0:
         raise ParameterError(
@@ -200,37 +208,28 @@ def filter_failed(
     weights.data[np.repeat(rejected, np.diff(weights.indptr))] = 0.0
     newly_failed = frozenset(np.flatnonzero(rejected).tolist())
     return SparseFeatureGraph(
-        weights, graph.failed_nodes | newly_failed, graph.stop_reasons, graph.residuals
+        weights, graph.failed_nodes | newly_failed, graph.stop_reasons,
+        graph.residuals, angles,
     )
 
 
-@dataclass
-class AngleReport:
-    """Distribution of reconstruction angles over the graph's nodes.
-
-    angles : per-node angle in radians, NaN where undefined.
-    bin_edges : ``ANGLE_BINS + 1`` equally spaced edges covering [0, pi/2].
-    counts : per-bin node counts; the last bin is right-inclusive and also
-        absorbs the rare angle beyond pi/2, so the counts sum to the number
-        of nodes with a defined angle.
-    overflow : nodes with no defined angle (empty or degenerate rows).
-    """
-
-    angles: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    overflow: int
-
-
-def angle_histogram(graph: SparseFeatureGraph, features: FeatureMatrix) -> AngleReport:
+def angle_histogram(angles: np.ndarray) -> dict:
     """Histogram of reconstruction angles over ``ANGLE_BINS`` equal bins on
-    [0, pi/2]."""
-    angles = representation_angle(graph, features)
-    defined = angles[~np.isnan(angles)]
+    [0, pi/2], as the report's ``angles`` block.
+
+    ``bin_edges`` holds the ``ANGLE_BINS + 1`` edges and ``counts`` the
+    per-bin node counts; the last bin is right-inclusive and also absorbs the
+    rare angle beyond pi/2, so the counts sum to the number of defined
+    angles.  ``overflow`` counts the NaN (undefined) angles.
+    """
+    undefined = np.isnan(angles)
     edges = np.linspace(0.0, np.pi / 2.0, ANGLE_BINS + 1)
-    counts, _ = np.histogram(np.minimum(defined, np.pi / 2.0), bins=edges)
-    overflow = int(np.isnan(angles).sum())
-    return AngleReport(angles, edges, counts.astype(np.int64), overflow)
+    counts, _ = np.histogram(np.minimum(angles[~undefined], np.pi / 2.0), bins=edges)
+    return {
+        "bin_edges": edges.tolist(),
+        "counts": counts.tolist(),
+        "overflow": int(undefined.sum()),
+    }
 
 
 def save_sfg(graph: SparseFeatureGraph, path) -> None:

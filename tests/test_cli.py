@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg
+from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg, sfg
 from sfgraph.cli import main
 
 
@@ -90,6 +90,29 @@ def test_sfg_angles_csv_matches_pipeline_angles_csv(tmp_path):
     )
     assert code == 0
     assert angles_path.read_bytes() == (out / "angles.csv").read_bytes()
+
+
+def test_sfg_measures_each_angle_once(tmp_path, monkeypatch):
+    data, _ = _make_dataset(tmp_path)
+    calls = []
+    real = sfg.representation_angle
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sfg, "representation_angle", counting)
+    argv = ["sfg", "--input", str(data), "--out", str(tmp_path / "graph.tsv")]
+    assert main(argv + ["--angles", str(tmp_path / "angles.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_sfg_with_a_bad_angle_writes_no_histogram(tmp_path):
+    data, _ = _make_dataset(tmp_path)
+    angles = tmp_path / "angles.csv"
+    argv = ["sfg", "--input", str(data), "--out", str(tmp_path / "graph.tsv")]
+    assert main(argv + ["--max-angle-deg", "100", "--angles", str(angles)]) == 1
+    assert not angles.exists()
 
 
 def test_lcs_and_reduce_agree_on_kept_features(tmp_path, capsys):
@@ -246,7 +269,9 @@ def test_pipeline_writes_all_report_files(tmp_path, capsys):
 
 def test_removed_flags_are_usage_errors(tmp_path, capsys):
     # a theta keeps one feature per group, the angle histogram has one shape,
-    # and a pipeline run is set by its flags alone: none has a flag any more
+    # a pipeline run is set by its flags alone, the kernel width is always the
+    # mean sample distance and synth's mixtures always carry the default
+    # noise: none has a flag any more
     data, labels = _make_dataset(tmp_path)
     graph = tmp_path / "graph.tsv"
     assert main(["sfg", "--input", str(data), "--out", str(graph)]) == 0
@@ -262,6 +287,10 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys):
           "--theta", "0.5", "--out", str(out)], ["--drop-singletons"]),
         (["pipeline", *dataset, "--labels", str(labels), "--k", "2",
           "--out", str(out)], ["--config", "run.cfg"]),
+        (["eval-sc", *dataset, "--labels", str(labels), "--k", "2",
+          "--out", str(out)], ["--sigma", "0.5"]),
+        (["synth", "--n", "40", "--base", "6", "--out", str(out)],
+         ["--mixture-noise", "0.01"]),
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:

@@ -286,6 +286,17 @@ def test_non_unit_target_is_rejected():
         omp(cols, 2.0 * cols[:, 0])
 
 
+def test_nan_dictionary_column_and_nan_target_are_rejected():
+    # a NaN norm fails every comparison, so a check written as
+    # "norm is off by more than the tolerance" would let it through
+    cols = np.eye(3)
+    cols[0, 1] = np.nan
+    with pytest.raises(ParameterError, match="dictionary column 1 is not unit-norm"):
+        omp(cols, [1.0, 0.0, 0.0])
+    with pytest.raises(ParameterError, match="target is not unit-norm"):
+        omp(np.eye(3), [np.nan, 0.0, 0.0])
+
+
 def test_shape_mismatch_is_rejected():
     cols = _orthonormal_dictionary(6, 3, seed=4)
     with pytest.raises(ParameterError):

@@ -22,7 +22,7 @@ from sfgraph import (
     render_report,
     select_representatives,
 )
-from sfgraph import pipeline
+from sfgraph import pipeline, sfg
 
 
 def _synth_dataset(seed=0):
@@ -156,6 +156,20 @@ def test_a_repeated_kept_set_is_clustered_once(monkeypatch):
     for rec, k in zip(report["sweep"], kept):
         _, _, nmi_score, acc_score = real(normalized.subset(k), labels, 3, 0, 5)
         assert (rec["nmi"], rec["acc"]) == (nmi_score, acc_score)
+
+
+def test_a_run_measures_each_angle_once(monkeypatch):
+    matrix, labels, _ = _synth_dataset(seed=1)
+    calls = []
+    real = sfg.representation_angle
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sfg, "representation_angle", counting)
+    run_pipeline(matrix, labels, _config())
+    assert len(calls) == 1
 
 
 def test_retained_counts_never_increase_as_theta_drops():

@@ -186,6 +186,13 @@ def test_build_rejects_non_unit_columns_by_index():
     assert "2" in str(err.value)
 
 
+def test_build_rejects_a_nan_column_by_index():
+    cols = np.eye(3)
+    cols[0, 1] = np.nan
+    with pytest.raises(ParameterError, match="feature 1 is not unit-norm"):
+        build_sfg(FeatureMatrix(cols))
+
+
 def test_build_needs_two_features():
     with pytest.raises(ParameterError):
         build_sfg(FeatureMatrix(np.ones((4, 1))))
@@ -313,6 +320,9 @@ def test_filter_rejects_large_and_undefined_angles_keeps_in_edges():
     assert filtered.weights[2].indices.size == 0
     # node 1 survives and keeps its edge into the failed node 2
     assert 2 in filtered.weights[1].indices.tolist()
+    # the filter keeps the angles it measured, the rejected nodes' included
+    np.testing.assert_array_equal(filtered.angles, representation_angle(graph, features))
+    assert graph.angles is None
 
 
 def test_filter_is_idempotent():
@@ -347,16 +357,16 @@ def test_filter_carries_forward_earlier_failures():
 
 def test_angle_histogram_counts_and_overflow():
     features, graph = _angle_fixture()
-    report = angle_histogram(graph, features)
-    assert report.bin_edges.shape == (19,)  # 18 bins of 5 degrees
-    assert report.bin_edges[0] == 0.0
-    assert abs(report.bin_edges[-1] - np.pi / 2.0) < 1e-15
+    report = angle_histogram(representation_angle(graph, features))
+    assert len(report["bin_edges"]) == 19  # 18 bins of 5 degrees
+    assert report["bin_edges"][0] == 0.0
+    assert abs(report["bin_edges"][-1] - np.pi / 2.0) < 1e-15
     # three defined angles (0, ~6.34deg, pi/2), one undefined node
-    assert int(report.counts.sum()) == 3
-    assert report.overflow == 1
-    assert int(report.counts.sum()) + report.overflow == graph.n_nodes
+    assert sum(report["counts"]) == 3
+    assert report["overflow"] == 1
+    assert sum(report["counts"]) + report["overflow"] == graph.n_nodes
     # pi/2 falls in the last (right-inclusive) bin
-    assert report.counts[-1] >= 1
+    assert report["counts"][-1] >= 1
 
 
 def test_angle_histogram_clamps_angles_beyond_right_edge():
@@ -364,12 +374,12 @@ def test_angle_histogram_clamps_angles_beyond_right_edge():
     features = FeatureMatrix(np.column_stack([e[:, 0], e[:, 0], e[:, 1]]))
     # reconstruction is the exact negation: cos = -1, angle = pi
     graph = _graph_from_rows(3, {0: {1: -1.0}})
-    report = angle_histogram(graph, features)
-    angles = report.angles
+    angles = representation_angle(graph, features)
+    report = angle_histogram(angles)
     assert abs(angles[0] - np.pi) < 1e-12
-    assert int(report.counts.sum()) == 1  # still counted as defined
-    assert report.counts[-1] == 1  # in the last bin
-    assert report.overflow == 2  # only the two undefined nodes
+    assert sum(report["counts"]) == 1  # still counted as defined
+    assert report["counts"][-1] == 1  # in the last bin
+    assert report["overflow"] == 2  # only the two undefined nodes
 
 
 def test_save_load_round_trip_preserves_graph_exactly(tmp_path):
