@@ -3,9 +3,9 @@
 Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``lcs``, ``reduce``, ``eval-sc``, ``eval-mcfs``) plus the end-to-end
 ``pipeline`` run.  Every setting of a run is a flag of its subcommand.
-``--k``, ``--m`` and ``--restarts`` take integers of at least 1 and
-``--seed`` one of at least 0, so a bad count or seed is a usage error before
-any file is read.
+``--k``, ``--m`` and ``--restarts`` take integers of at least 1,
+``--seed`` one of at least 0 and ``--max-angle-deg`` degrees in (0, 90], so
+a bad count, seed or angle is a usage error before any file is read.
 Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data,
 3 numerical failure; an error's code is its class's ``exit_code``.
 """
@@ -65,6 +65,19 @@ def _int_at_least(low: int):
 
 _count = _int_at_least(1)  # --k, --m and --restarts
 _seed = _int_at_least(0)  # every --seed
+
+
+def _max_angle_deg(value: str) -> float:
+    """An argparse type for --max-angle-deg: degrees in (0, 90], not NaN."""
+    try:
+        degrees = float(value)
+    except ValueError:
+        degrees = float("nan")
+    if not 0.0 < degrees <= 90.0:
+        raise argparse.ArgumentTypeError(
+            f"expected an angle in degrees in (0, 90], got {value!r}"
+        )
+    return degrees
 
 
 def _label_column(value: str):
@@ -272,7 +285,9 @@ def _add_cluster_flags(p) -> None:
 
 def _add_graph_flags(p) -> None:
     p.add_argument("--epsilon", type=float, default=PipelineConfig.epsilon)
-    p.add_argument("--max-angle-deg", type=float, default=PipelineConfig.max_angle_deg)
+    p.add_argument(
+        "--max-angle-deg", type=_max_angle_deg, default=PipelineConfig.max_angle_deg
+    )
 
 
 def build_parser() -> _Parser:

@@ -163,7 +163,11 @@ def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Spread-out initial centers: each next center is sampled with
-    probability proportional to its squared distance from the chosen ones."""
+    probability proportional to its squared distance from the chosen ones.
+
+    The draw inverts the cumulative distribution as
+    ``Generator.choice(n, p=d2 / total)`` does, from one ``rng.random()``.
+    """
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
@@ -171,7 +175,9 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     for c in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            idx = rng.choice(n, p=d2 / total)
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = rng.integers(n)
         centers[c] = x[idx]
@@ -179,22 +185,20 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
+def _lloyd(
+    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> KMeansResult:
+    """One k-means++ seeded Lloyd fit; ``x_sq`` holds the rows' squared norms."""
+    n, dim = x.shape
     centers = _plus_plus_init(x, k, rng)
+    # Bin (c, j) of the flattened coordinates sums x[:, j] over cluster c.
+    coord = np.arange(dim)
     trace: list[float] = []
-    labels = np.zeros(x.shape[0], dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int64)
     for it in range(KMEANS_MAX_ITER):
-        d2 = _squared_distances(x, centers)
+        d2 = np.add.outer(x_sq, np.sum(centers**2, axis=1))
+        d2 -= 2.0 * (x @ centers.T)
+        np.maximum(d2, 0.0, out=d2)
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -206,11 +210,10 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
             labels[far] = empty
             counts[largest] -= 1
             counts[empty] += 1
-        for c in range(k):
-            centers[c] = x[labels == c].mean(axis=0)
-        objective = float(
-            np.sum((x - centers[labels]) ** 2)
-        )
+        bins = (labels[:, None] * dim + coord).ravel()
+        sums = np.bincount(bins, weights=x.ravel(), minlength=k * dim)
+        centers = sums.reshape(k, dim) / counts[:, None]
+        objective = float(np.sum((x - centers[labels]) ** 2))
         trace.append(objective)
         if it > 0:
             prev = trace[-2]
@@ -225,8 +228,16 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     Runs ``restarts`` independent fits from deterministic per-restart RNG
     streams and returns the one with the lowest objective (earliest restart
     wins ties), so results are reproducible for a given ``seed``.
+
+    Squared point-to-center distances are ``|x|^2 + |c|^2 - 2 x.c``, clipped
+    at 0, with the points' norms computed once per call.  A center is its
+    members' coordinate sums, accumulated in point order by ``np.bincount``,
+    divided by their count: for points of two or more coordinates that is
+    bitwise the ``x[labels == c].mean(axis=0)`` of each cluster.  For
+    one-coordinate points ``mean`` sums pairwise, so centers may differ from
+    it in the last digits.
     """
-    x = np.asarray(points, dtype=np.float64)
+    x = np.ascontiguousarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected 2-D points, got {x.ndim}-D")
     n = x.shape[0]
@@ -236,10 +247,11 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
         raise ParameterError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    x_sq = np.sum(x**2, axis=1)
     best: KMeansResult | None = None
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])
-        result = _lloyd(x, k, rng)
+        result = _lloyd(x, x_sq, k, rng)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

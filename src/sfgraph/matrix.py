@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError, DimensionError, ParameterError, ParseError
 
@@ -265,10 +264,28 @@ def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray
 
 
 def pairwise_euclidean(samples) -> np.ndarray:
-    """Dense symmetric matrix of Euclidean distances between rows."""
+    """Dense symmetric matrix of Euclidean distances between rows.
+
+    Computed from one Gram product: the rows are copied to C order and
+    their columns centred (distances do not change under translation, and
+    centring limits cancellation), then ``d^2 = |x_i|^2 + |x_j|^2 - 2 x_i.x_j``
+    is clipped at 0 and square-rooted in place.  ``x @ x.T`` is a symmetric
+    rank-k update, so the result is exactly symmetric with an exact zero
+    diagonal; identical rows come out at exactly 0 as well, since BLAS forms
+    their three products alike.  A distance far below the rows' spread
+    carries an absolute error of about sqrt(machine epsilon) times that
+    spread.
+    """
     x = samples.values if isinstance(samples, FeatureMatrix) else np.asarray(samples)
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D sample matrix, got {x.ndim}-D")
-    # pdist is markedly slower on the column-major layout FeatureMatrix keeps.
-    return squareform(pdist(np.ascontiguousarray(x), metric="euclidean"))
+    # Centre after the C-order copy: a column mean of a Fortran array rounds
+    # differently, and the result must not depend on the input's layout.
+    x = np.array(x, dtype=np.float64, order="C")
+    x -= x.mean(axis=0)
+    d2 = x @ x.T
+    sq = d2.diagonal().copy()
+    d2 *= -2.0
+    d2 += np.add.outer(sq, sq)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)

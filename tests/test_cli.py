@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sfgraph.cli
+import sfgraph.pipeline
 from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg, sfg
 from sfgraph.cli import main
 
@@ -111,8 +113,42 @@ def test_sfg_with_a_bad_angle_writes_no_histogram(tmp_path):
     data, _ = _make_dataset(tmp_path)
     angles = tmp_path / "angles.csv"
     argv = ["sfg", "--input", str(data), "--out", str(tmp_path / "graph.tsv")]
-    assert main(argv + ["--max-angle-deg", "100", "--angles", str(angles)]) == 1
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--max-angle-deg", "100", "--angles", str(angles)])
+    assert err.value.code == 1
     assert not angles.exists()
+
+
+@pytest.mark.parametrize("angle", ["100", "0", "-15", "nan", "inf", "wide"])
+@pytest.mark.parametrize("command", ["sfg", "pipeline"])
+def test_bad_max_angle_is_a_usage_error_before_the_graph(
+    tmp_path, capsys, monkeypatch, command, angle
+):
+    data, labels = _make_dataset(tmp_path)
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("build_sfg must not run")
+
+    monkeypatch.setattr(sfgraph.cli, "build_sfg", never)
+    monkeypatch.setattr(sfgraph.pipeline, "build_sfg", never)
+    out = tmp_path / "never"
+    argv = [command, "--input", str(data), "--out", str(out)]
+    if command == "pipeline":
+        argv += ["--labels", str(labels), "--k", "2"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--max-angle-deg", angle])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert f"expected an angle in degrees in (0, 90], got '{angle}'" in stderr
+    assert "radians" not in stderr
+    assert not out.exists()
+
+
+def test_max_angle_of_ninety_degrees_is_accepted(tmp_path):
+    data, _ = _make_dataset(tmp_path)
+    argv = ["sfg", "--input", str(data), "--out", str(tmp_path / "graph.tsv")]
+    assert main([*argv, "--max-angle-deg", "90"]) == 0
 
 
 def test_lcs_and_reduce_agree_on_kept_features(tmp_path, capsys):

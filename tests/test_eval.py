@@ -3,7 +3,8 @@
 The agreement metrics are verified against brute-force oracles implemented
 here from scratch: entropies via collections.Counter and math.log for the
 mutual-information score, and exhaustive mapping enumeration via
-itertools.permutations for the best-match accuracy.
+itertools.permutations for the best-match accuracy.  k-means is checked
+bit for bit against a plain per-cluster-mean Lloyd loop kept here.
 """
 
 import itertools
@@ -305,6 +306,98 @@ def test_kmeans_fills_every_cluster_even_with_duplicate_points():
     result = kmeans(x, 3, seed=0, restarts=3)
     counts = np.bincount(result.labels, minlength=3)
     assert np.all(counts >= 1)
+
+
+def _reference_plus_plus_init(x, k, rng):
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[c] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def _reference_lloyd(x, k, rng, splits):
+    """Lloyd's loop with one boolean mask and ``mean`` per cluster; every
+    empty-cluster split is appended to ``splits``."""
+    centers = _reference_plus_plus_init(x, k, rng)
+    trace = []
+    for it in range(300):
+        d2 = (
+            np.sum(x**2, axis=1)[:, None]
+            + np.sum(centers**2, axis=1)[None, :]
+            - 2.0 * (x @ centers.T)
+        )
+        np.maximum(d2, 0.0, out=d2)
+        labels = np.argmin(d2, axis=1)
+        counts = np.bincount(labels, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            largest = int(np.argmax(counts))
+            members = np.flatnonzero(labels == largest)
+            far = members[int(np.argmax(d2[members, largest]))]
+            labels[far] = empty
+            counts[largest] -= 1
+            counts[empty] += 1
+            splits.append(empty)
+        for c in range(k):
+            centers[c] = x[labels == c].mean(axis=0)
+        trace.append(float(np.sum((x - centers[labels]) ** 2)))
+        if it > 0:
+            prev = trace[-2]
+            if prev == 0.0 or abs(prev - trace[-1]) <= 1e-6 * prev:
+                break
+    return labels, centers, np.asarray(trace)
+
+
+def _reference_kmeans(x, k, seed, restarts, splits):
+    best = None
+    for r in range(restarts):
+        fit = _reference_lloyd(x, k, np.random.default_rng([seed, r]), splits)
+        if best is None or fit[2][-1] < best[2][-1]:
+            best = fit
+    return best
+
+
+def _oracle_points(case, rng):
+    """Points of 2-12 coordinates; by case: plain, rounded to a coarse grid
+    (ties in distance), half duplicated, or a few distinct points repeated
+    (duplicate centers, so empty clusters)."""
+    n = int(rng.integers(12, 160))
+    dim = int(rng.integers(2, 13))
+    kind = case % 4
+    if kind == 3:
+        distinct = rng.normal(size=(int(rng.integers(2, 6)), dim))
+        return distinct[rng.integers(len(distinct), size=n)]
+    x = rng.normal(size=(n, dim))
+    if kind == 1:
+        x = np.round(x * 2.0) / 2.0
+    elif kind == 2:
+        x[n // 2 :] = x[: n - n // 2]
+    return x
+
+
+def test_kmeans_matches_the_per_cluster_mean_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    splits = []
+    for case in range(120):
+        x = _oracle_points(case, rng)
+        k = int(rng.integers(1, min(12, x.shape[0]) + 1))
+        restarts = int(rng.integers(1, 4))
+        labels, centers, trace = _reference_kmeans(x, k, case, restarts, splits)
+        result = kmeans(x, k, seed=case, restarts=restarts)
+        np.testing.assert_array_equal(result.labels, labels)
+        assert result.centers.tobytes() == centers.tobytes(), case
+        assert result.objective_trace.tobytes() == trace.tobytes(), case
+        assert result.n_iter == len(trace)
+        assert result.inertia == trace[-1]
+    assert splits, "no case reached the empty-cluster split"
 
 
 def test_kmeans_validates_inputs():

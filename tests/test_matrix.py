@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from sfgraph import (
     DataError,
@@ -218,6 +219,17 @@ def test_pairwise_euclidean_matches_brute_force():
         np.testing.assert_allclose(dist, dist.T, atol=0)
         np.testing.assert_array_equal(np.diag(dist), np.zeros(n))
 
+
+
+def test_pairwise_euclidean_is_exact_where_it_must_be_at_scale():
+    rng = np.random.default_rng(13)
+    x = 1e3 + rng.normal(size=(1000, 16))
+    x[700] = x[3]
+    dist = pairwise_euclidean(x)
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
+    assert dist[3, 700] == 0.0 and dist[700, 3] == 0.0
+    np.testing.assert_allclose(dist, squareform(pdist(x)), rtol=0, atol=1e-12)
 
 
 def test_pairwise_euclidean_is_layout_independent():
