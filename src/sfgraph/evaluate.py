@@ -111,7 +111,13 @@ def gaussian_similarity(samples, sigma: float | None = None) -> SimilarityGraph:
             )
     elif not sigma > 0.0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    weights = np.exp(-(dist**2) / (2.0 * float(sigma) ** 2))
+    # The kernel is formed in place on the distances, one n x n array: the
+    # operations and their order are those of exp(-(dist**2) / (2 sigma^2)),
+    # so the weights are bitwise the same.
+    weights = np.square(dist, out=dist)
+    np.negative(weights, out=weights)
+    weights /= 2.0 * float(sigma) ** 2
+    np.exp(weights, out=weights)
     return SimilarityGraph(weights, float(sigma))
 
 

@@ -6,15 +6,21 @@ package walk whole feature columns.
 
 Dataset CSVs are written with shortest round-trip floats (``repr``) and CRLF
 line endings, with header names quoted as the ``csv`` module quotes them.
-Every cell is read with ``float()`` after stripping surrounding whitespace;
-a file's cells are converted in one pass, and only a file that fails is
-scanned row by row to name its first faulty row or cell.
+Every cell is read as ``float()`` reads it after stripping surrounding
+whitespace.  The header row is read with the ``csv`` module and the body is
+converted in one pass by numpy's C tokenizer, which strips the same
+whitespace and parses with the routine behind ``float()``.  A file it
+rejects is read cell by cell with ``csv`` and ``float()``, so the files
+accepted, their values and every message are those of the cell-by-cell
+reader; only a file that fails there too is scanned row by row to name its
+first faulty row or cell.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -110,31 +116,60 @@ def _raise_first_fault(path, line_nos, rows, width) -> NoReturn:
     raise AssertionError(f"{path}: no faulty row or cell to report")
 
 
-def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]:
-    """Load a rectangular numeric CSV file.
+def _header(row: list[str]) -> list[str] | None:
+    """The stripped cells of a first row that holds a non-number, else ``None``."""
+    cells = [c.strip() for c in row]
+    return cells if any(_parse_cell(c) is None for c in cells) else None
 
-    An optional single header row is detected by the first row containing any
-    cell that does not parse as a number.  ``label_column`` selects one column
-    to split off as integer class labels; it may be a 0-based column index
-    (negatives count from the right) or, when a header is present, a column
-    name.
 
-    Returns
-    -------
-    (FeatureMatrix, labels or None)
+def _within_field_limit(lines):
+    """``lines``, ending in ``ValueError`` at a line holding a cell longer
+    than ``csv``'s field size limit, which the ``csv`` module rejects."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise ValueError("field larger than field limit")
+        yield line
 
-    Raises
-    ------
-    ParseError
-        Ragged rows, non-numeric cells outside the header, non-integer
-        label values, or bytes that are not valid text.  A row is reported
-        by the 1-based file line it ends on, blank lines included.
-    DataError
-        A NaN or infinite cell, reported with its row and column.
-    DimensionError
-        Fewer than 2 samples or fewer than 2 feature columns after label
-        extraction.
-    """
+
+def _read_with_numpy(path) -> tuple[list[str] | None, np.ndarray] | None:
+    """The header and values of ``path`` as numpy's tokenizer reads them, or
+    ``None`` when the file needs the cell-by-cell reader: a cell that
+    ``loadtxt`` rejects, a ragged row, an empty body, a non-finite value or
+    a header of another width."""
+    try:
+        with open(path, newline="") as fh:
+            first = next((row for row in csv.reader(fh) if row), None)
+            if first is None:
+                return None
+            header = _header(first)
+            if header is None:
+                fh.seek(0)
+            with warnings.catch_warnings():
+                # An empty body warns "input contained no data" and falls back.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(
+                    _within_field_limit(fh),
+                    delimiter=",",
+                    comments=None,
+                    quotechar=None,
+                    dtype=np.float64,
+                    ndmin=2,
+                )
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError.
+        return None
+    if (
+        values.size == 0
+        or not np.isfinite(values).all()
+        or (header is not None and len(header) != values.shape[1])
+    ):
+        return None
+    return header, values
+
+
+def _read_cells(path) -> tuple[list[str] | None, np.ndarray]:
+    """The header and values of ``path``, read cell by cell with ``csv``
+    and ``float()``; the first fault raises."""
     with open(path, newline="") as fh:
         reader = csv.reader(_text_lines(fh, path))
         try:
@@ -145,10 +180,8 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
         raise ParseError(f"{path}: empty file")
     line_nos, rows = zip(*numbered)
 
-    header: list[str] | None = None
-    first = [_parse_cell(c.strip()) for c in rows[0]]
-    if any(v is None for v in first):
-        header = [c.strip() for c in rows[0]]
+    header = _header(rows[0])
+    if header is not None:
         data_rows, line_nos = rows[1:], line_nos[1:]
     else:
         data_rows = rows
@@ -177,6 +210,41 @@ def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]
             f"{path}: non-finite cell at row {line_nos[r]}, column {c}: "
             f"{data_rows[r][c]!r}"
         )
+    return header, parsed
+
+
+def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]:
+    """Load a rectangular numeric CSV file.
+
+    An optional single header row is detected by the first row containing any
+    cell that does not parse as a number.  ``label_column`` selects one column
+    to split off as integer class labels; it may be a 0-based column index
+    (negatives count from the right) or, when a header is present, a column
+    name.
+
+    The body is converted by numpy's C tokenizer in one pass; a file it
+    rejects is read cell by cell with ``csv`` and ``float()``.  Either way
+    the files accepted, the values and the messages are the same.
+
+    Returns
+    -------
+    (FeatureMatrix, labels or None)
+
+    Raises
+    ------
+    ParseError
+        Ragged rows, non-numeric cells outside the header, non-integer
+        label values, or bytes that are not valid text.  A row is reported
+        by the 1-based file line it ends on, blank lines included.
+    DataError
+        A NaN or infinite cell, reported with its row and column.
+    DimensionError
+        Fewer than 2 samples or fewer than 2 feature columns after label
+        extraction.
+    """
+    table = _read_with_numpy(path)
+    header, parsed = table if table is not None else _read_cells(path)
+    width = parsed.shape[1]
 
     labels = None
     if label_column is not None:

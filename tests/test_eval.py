@@ -32,6 +32,7 @@ from sfgraph import (
     njw_cluster,
     nmi,
     normalize_features,
+    pairwise_euclidean,
     spectral_embedding,
 )
 
@@ -106,6 +107,19 @@ def test_similarity_is_scale_invariant_with_matching_width():
     # and the default width self-adjusts, so no sigma is needed at all
     auto, auto_scaled = gaussian_similarity(x), gaussian_similarity(2.0 * x)
     np.testing.assert_allclose(auto_scaled.weights, auto.weights, atol=1e-12)
+
+
+def test_similarity_weights_are_bitwise_the_out_of_place_kernel():
+    # The kernel is formed in place; it must equal the plain expression.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(120, 9)) * rng.uniform(0.1, 10.0, size=9)
+    dist = pairwise_euclidean(x)
+    auto_sigma = float(dist.sum() / (120 * 119))
+    for sigma, expected_sigma in ((None, auto_sigma), (0.37, 0.37)):
+        sim = gaussian_similarity(x, sigma)
+        assert sim.sigma == expected_sigma
+        expected = np.exp(-(dist**2) / (2.0 * expected_sigma**2))
+        assert sim.weights.tobytes() == expected.tobytes()
 
 
 def test_similarity_identical_samples_is_a_data_error():

@@ -1,5 +1,10 @@
 """Tests for the feature-matrix container and its CSV I/O."""
 
+import codecs
+import csv
+import locale
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -155,6 +160,51 @@ def test_load_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\r\n", "no data rows"),
+        ("a,b\n\n\r\n\r", "no data rows"),
+        ("\n\r\n\r\n", "empty file"),
+    ],
+    ids=["header-only", "header-and-blank-lines", "blank-lines"],
+)
+def test_load_csv_without_data_rows_raises_no_warning(tmp_path, text, message):
+    # numpy's loadtxt warns on an empty body; load_csv must only raise.
+    path = tmp_path / "nodata.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=message):
+            load_csv(path)
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="the bytes below are invalid only in UTF-8",
+)
+@pytest.mark.parametrize("good_rows", [1, 3000], ids=["first-block", "later-block"])
+def test_load_csv_names_bytes_that_are_not_text_after_the_header(tmp_path, good_rows):
+    # Text is decoded in blocks of a few kB, so the bad byte is met either
+    # while the header is read or while the body is converted.
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\r\n" + b"1,2\r\n" * good_rows + b"3,\xe9\r\n")
+    with pytest.raises(ParseError, match=r": not valid utf-8 text \(invalid continuation byte\)$"):
+        load_csv(path)
+
+
+def test_load_csv_keeps_the_csv_field_size_limit(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("a,b\n1,2\n3," + "0" * 40 + "4\n")
+    default = csv.field_size_limit(16)
+    try:
+        with pytest.raises(ParseError, match=r"field larger than field limit \(16\)"):
+            load_csv(path)
+    finally:
+        csv.field_size_limit(default)
+    np.testing.assert_array_equal(load_csv(path)[0].values, [[1, 2], [3, 4]])
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):

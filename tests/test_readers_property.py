@@ -229,13 +229,40 @@ def _encodable(text):
 
 
 # Numbers whose parse hinges on the strip or on float's own grammar: padding,
-# the separators U+001C-U+001F that only the strip removes, digit grouping,
-# non-ASCII digits, quoted numbers and exponents.
+# the separators U+001C-U+001F that only the strip removes, other whitespace
+# (U+000B, U+000C, U+0085, U+2028) that a line splitter might break at, NUL,
+# digit grouping, non-ASCII digits, quoted numbers and exponents.
 _tricky = st.sampled_from(
     [" 2 ", "1_0", "  1.5", "\x1c1.5", "\x1f-3\x1d", '"3.25"', '" -7 "', "1e3", "-2.5E-4"]
-    + [digits for digits in ["١٢"] if _encodable(digits)]
+    + ["\x0b2", "2\x0c", "\x1e-1", "\x005", "5\x00", "6\x007"]
+    + [cell for cell in ["١٢", "\x858", "8\u2028"] if _encodable(cell)]
 )
 _cell = st.one_of(_number, _tricky, _tricky)
+_line_end = st.sampled_from(["\n", "\r\n", "\r"])
+_blank_line = st.sampled_from(["", " ", "\t", " \t "])
+_header_name = st.text(st.sampled_from('ab1 ,\n\r"'), max_size=4)
+
+
+@st.composite
+def _split_table(draw):
+    """Files where numpy's tokenizer and ``csv.reader`` can split apart:
+    CRLF and lone CR line ends, blank, space-only and tab-only lines,
+    trailing commas, quoted header names holding separators, and files
+    that are a header alone."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        names = draw(st.lists(_header_name, min_size=width, max_size=width))
+        lines.append(",".join('"' + name.replace('"', '""') + '"' for name in names))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(_blank_line))
+            continue
+        row = ",".join(draw(st.lists(_cell, min_size=width, max_size=width)))
+        lines.append(row + "," if draw(st.integers(0, 7)) == 0 else row)
+    return "".join(line + draw(_line_end) for line in lines)
+
+
 _oracle_table = st.one_of(
     _table,
     # Rectangular, numeric and at least 2x2, so that many examples parse.
@@ -248,6 +275,7 @@ _oracle_table = st.one_of(
     ),
     # Rows of any width, with faults on any number of them.
     _lines(st.lists(st.one_of(_cell, _token), min_size=1, max_size=4).map(",".join)),
+    _split_table(),
 )
 
 
@@ -272,6 +300,17 @@ def _outcome(reader, path, label_column):
 @example(text="\x1c1.5,2\n3,4\n", label_column=None)
 @example(text="a,b\n1,2\n3,x,5\n6,y\n", label_column=None)
 @example(text='1,"0x10"\n2,3\n4\n5,z\n', label_column=0)
+@example(text="1,2\n \n3,4\n", label_column=None)
+@example(text="1,2\r\n\t\r\n3,4\r\n", label_column=None)
+@example(text="1\n \n2\n", label_column=None)
+@example(text='"a\rb",c\r1,2\r3,4\r', label_column=None)
+@example(text='"x,\r\ny",z\r\n1,2\r\n\r3,4\r\n', label_column="z")
+@example(text="1,2\r3,4\r\r5,6\n", label_column=None)
+@example(text="1,2,\n3,4,\n", label_column=None)
+@example(text="1,\x0b2\n3\x0c,4\n\x1e5,6\n", label_column=None)
+@example(text="1,2\x00\n3,4\n", label_column=None)
+@example(text='"a","b"\r\n', label_column=None)
+@example(text='"a","b"\r\n\r\n\r', label_column=None)
 def test_load_csv_matches_the_per_cell_reference(scratch, text, label_column):
     scratch.write_text(text)
     assert _outcome(load_csv, scratch, label_column) == _outcome(
