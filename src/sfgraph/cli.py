@@ -4,8 +4,10 @@ Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``lcs``, ``reduce``, ``eval-sc``, ``eval-mcfs``) plus the end-to-end
 ``pipeline`` run.  Every setting of a run is a flag of its subcommand.
 ``--k``, ``--m`` and ``--restarts`` take integers of at least 1,
-``--seed`` one of at least 0 and ``--max-angle-deg`` degrees in (0, 90], so
-a bad count, seed or angle is a usage error before any file is read.
+``--seed`` one of at least 0, ``--max-angle-deg`` degrees in (0, 90],
+``--theta`` a number in (0, 1] and ``--epsilon`` one above 0, NaN never,
+so a bad count, seed, angle or threshold is a usage error before any file
+is read.
 Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data,
 3 numerical failure; an error's code is its class's ``exit_code``.
 """
@@ -13,6 +15,7 @@ Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -67,17 +70,25 @@ _count = _int_at_least(1)  # --k, --m and --restarts
 _seed = _int_at_least(0)  # every --seed
 
 
-def _max_angle_deg(value: str) -> float:
-    """An argparse type for --max-angle-deg: degrees in (0, 90], not NaN."""
-    try:
-        degrees = float(value)
-    except ValueError:
-        degrees = float("nan")
-    if not 0.0 < degrees <= 90.0:
-        raise argparse.ArgumentTypeError(
-            f"expected an angle in degrees in (0, 90], got {value!r}"
-        )
-    return degrees
+def _float_in(low: float, high: float, expected: str):
+    """An argparse type for floats in (``low``, ``high``], NaN rejected;
+    ``expected`` names the range in the message."""
+
+    def parse(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not low < number <= high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
+
+    return parse
+
+
+_max_angle_deg = _float_in(0.0, 90.0, "an angle in degrees in (0, 90]")
+_theta = _float_in(0.0, 1.0, "a threshold in (0, 1]")  # every --theta
+_epsilon = _float_in(0.0, math.inf, "a positive threshold")
 
 
 def _label_column(value: str):
@@ -284,7 +295,7 @@ def _add_cluster_flags(p) -> None:
 
 
 def _add_graph_flags(p) -> None:
-    p.add_argument("--epsilon", type=float, default=PipelineConfig.epsilon)
+    p.add_argument("--epsilon", type=_epsilon, default=PipelineConfig.epsilon)
     p.add_argument(
         "--max-angle-deg", type=_max_angle_deg, default=PipelineConfig.max_angle_deg
     )
@@ -315,14 +326,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lcs", help="mine redundancy groups from a graph file")
     p.add_argument("--graph", required=True, help="graph TSV from the sfg subcommand")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_theta, required=True)
     p.add_argument("--out", required=True, help="output partition file")
     p.set_defaults(func=cmd_lcs)
 
     p = sub.add_parser("reduce", help="write the dataset restricted to kept features")
     _add_dataset_flags(p, with_labels=False)
     p.add_argument("--graph", required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_theta, required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_reduce)
 
@@ -351,7 +362,7 @@ def build_parser() -> _Parser:
     _add_graph_flags(p)
     p.add_argument(
         "--theta",
-        type=float,
+        type=_theta,
         action="append",
         default=None,
         help="threshold (repeatable; default 0.9..0.1)",

@@ -28,6 +28,12 @@ import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError, ParseError
 
+# Byte budget of the scratch block that the n x n kernels (sample distances
+# here, the Laplacian's symmetrisation in ``evaluate``) work through: small
+# enough to stay in cache, large enough that the Python loop over blocks
+# costs nothing next to the arithmetic.
+BLOCK_BYTES = 1 << 18
+
 __all__ = [
     "FeatureMatrix",
     "load_csv",
@@ -337,7 +343,12 @@ def pairwise_euclidean(samples) -> np.ndarray:
     Computed from one Gram product: the rows are copied to C order and
     their columns centred (distances do not change under translation, and
     centring limits cancellation), then ``d^2 = |x_i|^2 + |x_j|^2 - 2 x_i.x_j``
-    is clipped at 0 and square-rooted in place.  ``x @ x.T`` is a symmetric
+    is clipped at 0 and square-rooted in place, one block of rows at a time
+    with ``|x_i|^2 + |x_j|^2`` formed in a buffer of ``BLOCK_BYTES``.  The
+    result is the only n x n float64 array the call holds (8 MB at
+    n = 1000, 800 MB at n = 10^4), and each entry goes through the same
+    operations in the same order as in a whole-matrix pass, so blocking
+    changes no bit of it.  ``x @ x.T`` is a symmetric
     rank-k update, so the result is exactly symmetric with an exact zero
     diagonal; identical rows come out at exactly 0 as well, since BLAS forms
     their three products alike.  A distance far below the rows' spread
@@ -353,7 +364,14 @@ def pairwise_euclidean(samples) -> np.ndarray:
     x -= x.mean(axis=0)
     d2 = x @ x.T
     sq = d2.diagonal().copy()
-    d2 *= -2.0
-    d2 += np.add.outer(sq, sq)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
+    n = d2.shape[0]
+    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    outer = np.empty((min(rows, n), n))
+    for start in range(0, n, rows):
+        block = d2[start : start + rows]
+        sums = np.add.outer(sq[start : start + rows], sq, out=outer[: len(block)])
+        block *= -2.0
+        block += sums
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
+    return d2

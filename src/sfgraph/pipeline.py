@@ -226,6 +226,9 @@ def run_pipeline(
         )
 
     sweep: list[dict] = []
+    # The selection grid's inputs.  Without the grid no theta's reduced
+    # matrix is kept: each is released when the next theta's is built.
+    run_mcfs = bool(config.mcfs_counts) and labels is not None
     reduced_inputs: list[tuple[float | None, FeatureMatrix, object]] = [
         (None, normalized, baseline_emb)
     ]
@@ -254,13 +257,14 @@ def run_pipeline(
                     )
                     scored[key] = (emb, nmi_score, acc_score)
                 emb, record["nmi"], record["acc"] = scored[key]
-                reduced_inputs.append((theta, reduced, emb))
+                if run_mcfs:
+                    reduced_inputs.append((theta, reduced, emb))
             except SfgraphError as exc:
                 record["error"] = str(exc)
             sweep.append(record)
 
     mcfs: list[dict] = []
-    if config.mcfs_counts and labels is not None:
+    if run_mcfs:
         with _stage("mcfs", timings):
             for theta, matrix, emb in reduced_inputs:
                 records = mcfs_records(matrix, emb, config.mcfs_counts, labels, *clustering)

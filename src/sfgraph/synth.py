@@ -56,6 +56,8 @@ class SynthSpec:
             raise ParameterError(
                 f"clusters must lie in [1, {self.n_samples}], got {self.clusters}"
             )
+        if not np.isfinite(self.separation):
+            raise ParameterError(f"separation must be finite, got {self.separation}")
         if self.clusters > 1 and not self.separation > 0.0:
             raise ParameterError("separation must be positive with multiple clusters")
         if self.mixture_features > 0 and self.base_features < 2:
@@ -90,7 +92,25 @@ def generate(spec: SynthSpec) -> tuple[FeatureMatrix, np.ndarray, dict]:
         ``base`` / ``noise`` index lists, ``duplicates`` as
         ``[copy_index, base_index]`` pairs, and ``mixtures`` as records with
         parent indices and convex weights.
+
+    Raises
+    ------
+    ParameterError
+        A spec whose scales overflow float64, so that a value would be
+        infinite or NaN.
     """
+    # Overflow is reported once, as the ParameterError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix, labels, truth = _draw(spec)
+    if not np.isfinite(matrix.values).all():
+        raise ParameterError(
+            "the spec's scales overflow: the generated data holds non-finite values"
+        )
+    return matrix, labels, truth
+
+
+def _draw(spec: SynthSpec) -> tuple[FeatureMatrix, np.ndarray, dict]:
+    """The dataset of ``spec``, finite or not; see :func:`generate`."""
     rng = np.random.default_rng(spec.seed)
     n, b = spec.n_samples, spec.base_features
 
@@ -153,5 +173,4 @@ def generate(spec: SynthSpec) -> tuple[FeatureMatrix, np.ndarray, dict]:
         names.extend(f"noise{i}" for i in range(spec.noise_features))
         truth["noise"] = list(range(next_col, next_col + spec.noise_features))
 
-    matrix = FeatureMatrix(np.hstack(columns), tuple(names))
-    return matrix, labels, truth
+    return FeatureMatrix(np.hstack(columns), tuple(names)), labels, truth

@@ -45,6 +45,18 @@ def test_synth_writes_dataset_labels_and_truth(tmp_path, capsys):
     assert "40x10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "settings", [["--separation", "inf"], ["--separation", "1e308", "--mixtures", "3"]]
+)
+def test_synth_refuses_settings_that_give_non_finite_data(tmp_path, capsys, settings):
+    out = tmp_path / "never"
+    argv = ["synth", "--n", "10", "--base", "3", "--clusters", "3", *settings]
+    assert main([*argv, "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert "sfgraph: error: " in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_sfg_builds_a_loadable_graph_and_angle_csv(tmp_path):
     data, _ = _make_dataset(tmp_path)
     graph_path = tmp_path / "graph.tsv"
@@ -143,6 +155,55 @@ def test_bad_max_angle_is_a_usage_error_before_the_graph(
     assert f"expected an angle in degrees in (0, 90], got '{angle}'" in stderr
     assert "radians" not in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, "--theta", value)
+        for command in ("lcs", "reduce", "pipeline")
+        for value in ("0", "1.5", "-0.5", "nan", "inf", "half")
+    ]
+    + [
+        (command, "--epsilon", value)
+        for command in ("sfg", "pipeline")
+        for value in ("0", "-1e-6", "nan", "-inf", "tiny")
+    ],
+)
+def test_bad_theta_or_epsilon_is_a_usage_error_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def never(*args, **kwargs):
+        raise AssertionError("no file may be read")
+
+    for reader in ("load_csv", "load_labels", "load_sfg"):
+        monkeypatch.setattr(sfgraph.cli, reader, never)
+    # none of these files exists: a check after reading would exit 2
+    missing = tmp_path / "missing"
+    out = tmp_path / "never"
+    argv = [command, "--out", str(out)]
+    if command != "lcs":
+        argv += ["--input", str(missing / "data.csv")]
+    if command in ("lcs", "reduce"):
+        argv += ["--graph", str(missing / "graph.tsv")]
+    if command == "pipeline":
+        argv += ["--labels", str(missing / "labels.txt"), "--k", "2"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"{flag}={value}"])  # "-1e-6" alone would read as a flag
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    expected = "a threshold in (0, 1]" if flag == "--theta" else "a positive threshold"
+    assert f"argument {flag}: expected {expected}, got '{value}'" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_theta_of_one_is_accepted(tmp_path):
+    data, _ = _make_dataset(tmp_path)
+    graph = tmp_path / "graph.tsv"
+    assert main(["sfg", "--input", str(data), "--out", str(graph)]) == 0
+    argv = ["lcs", "--graph", str(graph), "--out", str(tmp_path / "part.txt")]
+    assert main([*argv, "--theta", "1"]) == 0
 
 
 def test_max_angle_of_ninety_degrees_is_accepted(tmp_path):
@@ -442,15 +503,17 @@ def test_parameter_conflicts_exit_one(tmp_path):
     assert code == 1
     graph_path = tmp_path / "graph.tsv"
     main(["sfg", "--input", str(data), "--out", str(graph_path)])
-    code = main(
-        [
-            "lcs",
-            "--graph", str(graph_path),
-            "--theta", "1.5",
-            "--out", str(tmp_path / "part.txt"),
-        ]
-    )
-    assert code == 1
+    # a bad theta is a usage error, caught while the flags are parsed
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                "lcs",
+                "--graph", str(graph_path),
+                "--theta", "1.5",
+                "--out", str(tmp_path / "part.txt"),
+            ]
+        )
+    assert err.value.code == 1
 
 
 def test_missing_input_file_exits_two(tmp_path):

@@ -9,6 +9,7 @@ bit for bit against a plain per-cluster-mean Lloyd loop kept here.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,7 @@ from sfgraph import (
     pairwise_euclidean,
     spectral_embedding,
 )
+from sfgraph.matrix import BLOCK_BYTES
 
 
 def _nmi_oracle(a, b):
@@ -261,6 +263,57 @@ def test_embedding_is_bitwise_reproducible():
     b = spectral_embedding(sim, 10)
     np.testing.assert_array_equal(a.vectors, b.vectors)
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def _embedding_whole(w, k):
+    """The embedding with S symmetrised in one whole-matrix expression."""
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
+    s = w * inv_sqrt[:, None]
+    s *= inv_sqrt[None, :]
+    s += s.T
+    s *= 0.5
+    start = np.random.default_rng(0).standard_normal(w.shape[0])
+    mu, vectors = eigsh(s, k, which="LA", tol=1e-8, v0=start)
+    order = np.argsort(-mu)
+    vectors = np.ascontiguousarray(vectors[:, order])
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    vectors *= np.where(vectors[first, np.arange(k)] < 0, -1.0, 1.0)
+    return vectors, 1.0 - mu[order]
+
+
+# n = 2; n within one block; n = 300 and 1000, which end on a partial block
+@pytest.mark.parametrize("n, d", [(2, 3), (100, 7), (300, 5), (1000, 16)])
+def test_blocked_kernels_are_bitwise_the_whole_matrix_expressions(n, d):
+    side = math.isqrt(BLOCK_BYTES // 8)  # block side of the symmetrisation
+    assert n <= side if n <= 100 else n % side != 0
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    dist = pairwise_euclidean(x)  # test_matrix checks it against the whole pass
+    sigma = float(dist.sum() / (n * (n - 1)))
+    sim = gaussian_similarity(x)
+    assert sim.sigma == sigma
+    expected = np.exp(-(dist**2) / (2.0 * sigma**2))
+    assert sim.weights.tobytes() == expected.tobytes()
+
+    weights = sim.weights.copy()
+    k = min(n - 1, 10)
+    emb = spectral_embedding(sim, k)
+    vectors, eigenvalues = _embedding_whole(weights, k)
+    assert sim.weights.tobytes() == weights.tobytes()  # left untouched
+    assert emb.vectors.tobytes() == vectors.tobytes()
+    assert emb.eigenvalues.tobytes() == eigenvalues.tobytes()
+
+
+def test_embedding_holds_one_n_by_n_array_besides_the_weights():
+    n = 1000
+    sim = gaussian_similarity(np.random.default_rng(22).normal(size=(n, 16)))
+    tracemalloc.start()
+    try:
+        spectral_embedding(sim, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8, peak
 
 
 def test_embedding_k_can_be_all_but_one_sample():

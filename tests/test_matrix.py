@@ -3,6 +3,7 @@
 import codecs
 import csv
 import locale
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from sfgraph import (
     pairwise_euclidean,
     save_csv,
 )
+from sfgraph.matrix import BLOCK_BYTES
 
 
 def test_matrix_coerces_to_fortran_float64():
@@ -294,3 +296,41 @@ def test_pairwise_euclidean_is_layout_independent():
         pairwise_euclidean(subset).tobytes()
         == pairwise_euclidean(np.ascontiguousarray(subset.values)).tobytes()
     )
+
+
+def _pairwise_whole(x):
+    """The distances as one whole-matrix pass forms them: the reference the
+    blocked kernel must match bit for bit."""
+    x = np.array(x, dtype=np.float64, order="C")
+    x -= x.mean(axis=0)
+    d2 = x @ x.T
+    sq = d2.diagonal().copy()
+    d2 *= -2.0
+    d2 += np.add.outer(sq, sq)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
+
+
+# n = 2; n within one block of rows; n = 300 and 1000, which end on a partial block
+@pytest.mark.parametrize("n, d", [(2, 3), (100, 7), (300, 5), (1000, 16)])
+def test_pairwise_euclidean_blocks_are_bitwise_the_whole_matrix_pass(n, d):
+    rows = BLOCK_BYTES // (8 * n)  # rows per block
+    assert n <= rows if n <= 100 else n % rows != 0
+    rng = np.random.default_rng(n)
+    # an offset for cancellation, and repeated rows whose d^2 is clipped at 0
+    x = 1e3 + rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    x[n // 2 :: 7] = x[0]
+    for layout in (np.asfortranarray(x), x):
+        assert pairwise_euclidean(layout).tobytes() == _pairwise_whole(x).tobytes()
+
+
+def test_pairwise_euclidean_holds_one_n_by_n_array():
+    n = 1000
+    x = np.random.default_rng(14).normal(size=(n, 16))
+    tracemalloc.start()
+    try:
+        pairwise_euclidean(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8, peak

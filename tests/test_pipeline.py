@@ -2,6 +2,7 @@
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -262,6 +263,39 @@ def test_mcfs_grid_runs_on_baseline_and_reduced_inputs():
         assert rec["selected"] in (2, 4)
         if rec["selected"] <= rec["input_features"]:
             assert rec["nmi"] is not None
+
+
+@pytest.mark.parametrize("mcfs_counts", [(), (2,)])
+def test_reduced_matrices_are_kept_only_for_the_selection_grid(monkeypatch, mcfs_counts):
+    matrix, labels, _ = _synth_dataset(seed=5)
+    reduced = []  # weak references to every theta's reduced values
+    live = []  # how many of them are alive as each matrix is scored
+
+    def tracked_reduce(features, kept):
+        result = pipeline_reduce(features, kept)
+        reduced.append(weakref.ref(result.values))
+        return result
+
+    def tracked_scores(features, *args):
+        live.append(sum(ref() is not None for ref in reduced))
+        return cluster_scores(features, *args)
+
+    pipeline_reduce, cluster_scores = pipeline.reduce_matrix, pipeline.cluster_scores
+    monkeypatch.setattr(pipeline, "reduce_matrix", tracked_reduce)
+    monkeypatch.setattr(pipeline, "cluster_scores", tracked_scores)
+    thetas = (0.9, 0.5, 0.3, 0.1)
+    report = run_pipeline(matrix, labels, _config(thetas=thetas, mcfs_counts=mcfs_counts))
+    # every theta keeps a set of its own, so the baseline and each theta
+    # are scored in turn
+    assert [rec["retained"] for rec in report["sweep"]] == [12, 11, 7, 6]
+    assert len(reduced) == len(thetas)
+    if mcfs_counts:
+        # the grid reads every theta's reduced matrix after the sweep
+        assert live[:5] == [0, 1, 2, 3, 4]
+    else:
+        # without it only the theta being scored holds its reduced matrix
+        assert live == [0, 1, 1, 1, 1]
+    assert all(ref() is None for ref in reduced)
 
 
 def test_oversized_selection_count_is_a_null_cell():

@@ -156,3 +156,25 @@ def test_spec_validation():
         SynthSpec(n_samples=10, base_features=2, within_std=0.0)
     with pytest.raises(ParameterError):
         SynthSpec(n_samples=10, base_features=2, mixture_noise=-0.1)
+    for separation in (np.inf, -np.inf, np.nan):
+        for clusters in (1, 3):
+            with pytest.raises(ParameterError, match="separation must be finite"):
+                SynthSpec(n_samples=10, base_features=3, clusters=clusters,
+                          separation=separation)
+
+
+def test_scales_that_overflow_are_a_parameter_error():
+    # finite settings whose data would hold inf cells: centroids scaled to
+    # about 1e308 overflow in the mixtures' norms, and a huge spread overflows
+    # the centroid scale itself
+    for spec in (
+        SynthSpec(n_samples=10, base_features=3, clusters=3, separation=1e308,
+                  mixture_features=3),
+        SynthSpec(n_samples=10, base_features=3, clusters=3, within_std=1e308),
+    ):
+        with pytest.raises(ParameterError, match="non-finite values"):
+            generate(spec)
+    huge, _, _ = generate(
+        SynthSpec(n_samples=10, base_features=3, clusters=3, separation=1e308)
+    )
+    assert np.isfinite(huge.values).all()
