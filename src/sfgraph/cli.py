@@ -8,8 +8,8 @@ Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``--theta`` a number in (0, 1] and ``--epsilon`` one above 0, NaN never,
 so a bad count, seed, angle or threshold is a usage error before any file
 is read.
-Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data,
-3 numerical failure; an error's code is its class's ``exit_code``.
+Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data
+or memory, 3 numerical failure; an error's code is its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -386,6 +386,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"sfgraph: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"sfgraph: error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,16 +8,15 @@ embedding rows, and agreement scores (normalized mutual information and
 best-match accuracy) against ground-truth labels.  A sparse-regression
 feature scorer (`mcfs_select`) is included as a reference selection method.
 
-Memory grows as n^2 in two places only, and they overlap: the similarity
-weights (the distances, turned into the kernel in place) and the normalized
-matrix the eigensolver reads.  Neither step makes an n x n temporary, so a
-clustering pass holds at most two n x n float64 arrays at once: 16 MB at
-n = 1000, 1.6 GB at n = 10^4.
+Memory grows as n^2 in one place only: the similarity weights, the
+distances turned into the kernel in place.  The eigensolver applies the
+normalized matrix as an operator on those weights and never forms it, so a
+clustering pass holds one n x n float64 array: 8 MB at n = 1000, 800 MB at
+n = 10^4.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .matrix import BLOCK_BYTES, FeatureMatrix, normalize_features, pairwise_euclidean
+from .matrix import FeatureMatrix, normalize_features, pairwise_euclidean
 from .omp import GramRows, _greedy_fit
 
 __all__ = [
@@ -135,26 +134,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _symmetrize(s: np.ndarray) -> None:
-    """Set the square array ``s`` to ``(s + s.T) * 0.5`` in place.
-
-    ``s += s.T`` would copy all of ``s`` first, its operands overlapping;
-    here each pair of blocks mirrored across the diagonal is averaged
-    through a temporary of at most ``BLOCK_BYTES``.  Addition commutes, so
-    both halves get the same bits as the whole-matrix expression.
-    """
-    side = max(1, math.isqrt(BLOCK_BYTES // 8))
-    n = s.shape[0]
-    for i in range(0, n, side):
-        for j in range(i, n, side):
-            upper = s[i : i + side, j : j + side]
-            lower = s[j : j + side, i : i + side]
-            mean = upper + lower.T
-            mean *= 0.5
-            upper[...] = mean
-            lower[...] = mean.T
-
-
 def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
     """Eigenvectors of the symmetric normalized Laplacian of a similarity graph.
 
@@ -163,8 +142,12 @@ def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
     size.  ARPACK draws a random start vector on each call unless given one,
     so the start is a fixed seeded draw; not all ones, which is S's top
     eigenvector when all degrees are equal and stalls Lanczos at once.
-    Non-convergence is reported as a :class:`NumericalError`.  ``S`` is the
-    only n x n array the call allocates; ``graph.weights`` is not modified.
+    Non-convergence is reported as a :class:`NumericalError`.  ``S`` is
+    never formed: the solver applies it as ``x -> D^-1/2 (W (D^-1/2 x))``
+    on ``graph.weights``, which is read and not modified, so the call
+    allocates no n x n float64 array.  ``W`` must be exactly symmetric, as
+    the weights of :func:`gaussian_similarity` are; any other matrix is a
+    :class:`DataError`.
     """
     w = np.asarray(graph.weights, dtype=np.float64)
     n = w.shape[0]
@@ -172,14 +155,17 @@ def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
         raise DimensionError(f"similarity matrix must be square, got {w.shape}")
     if not 1 <= k < n:
         raise ParameterError(f"k must lie in [1, {n - 1}] for {n} samples, got {k}")
+    if not np.array_equal(w, w.T):
+        raise DataError("similarity matrix is not symmetric")
     deg = w.sum(axis=1)
     if np.any(deg <= 0.0):
         bad = int(np.flatnonzero(deg <= 0.0)[0])
         raise DataError(f"sample {bad} has no similarity mass (isolated vertex)")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    s = w * inv_sqrt[:, None]
-    s *= inv_sqrt[None, :]
-    _symmetrize(s)
+    # A LinearOperator may hand its matvec an (n, 1) column.
+    s = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: inv_sqrt * (w @ (inv_sqrt * x.ravel())), dtype=w.dtype
+    )
 
     start = np.random.default_rng(0).standard_normal(n)
     try:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError, ParseError
 
-# Byte budget of the scratch block that the n x n kernels (sample distances
-# here, the Laplacian's symmetrisation in ``evaluate``) work through: small
-# enough to stay in cache, large enough that the Python loop over blocks
-# costs nothing next to the arithmetic.
+# Cache-sized budget of the block that ``pairwise_euclidean`` forms squared
+# distances through: the distances are then the one n x n float64 array of a
+# clustering pass (8 MB at n = 1000, 800 MB at n = 10^4).
 BLOCK_BYTES = 1 << 18
 
 __all__ = [
@@ -325,16 +324,26 @@ def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray
 
     All-zero columns cannot be normalized; they are left as zeros and their
     indices returned as the second element, so callers can exclude them.
+    A column whose norm overflows (finite cells of about 1e154 or more) is
+    divided by its largest ``|value|`` before it is normalized.
 
     Returns
     -------
     (FeatureMatrix, ndarray of int)
         The normalized matrix and the indices of zero-norm columns.
     """
-    norms = np.linalg.norm(matrix.values, axis=0)
+    values = matrix.values
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(values, axis=0)
     zero = np.flatnonzero(norms == 0.0)
     safe = np.where(norms == 0.0, 1.0, norms)
-    return FeatureMatrix(matrix.values / safe, matrix.feature_names), zero
+    out = values / safe
+    overflowed = np.flatnonzero(np.isinf(norms))
+    if overflowed.size:
+        scaled = values[:, overflowed]
+        scaled /= np.abs(scaled).max(axis=0)
+        out[:, overflowed] = scaled / np.linalg.norm(scaled, axis=0)
+    return FeatureMatrix(out, matrix.feature_names), zero
 
 
 def pairwise_euclidean(samples) -> np.ndarray:

@@ -31,9 +31,9 @@ __all__ = ["SynthSpec", "generate"]
 class SynthSpec:
     """Recipe for one synthetic dataset.
 
-    separation is the minimum distance between cluster centroids measured in
-    units of the within-cluster standard deviation; mixture_noise is the
-    noise-to-signal norm ratio of mixture columns.
+    Base features are unit-variance noise around their cluster's centroid;
+    separation is the minimum distance between centroids in those units, and
+    mixture_noise the noise-to-signal norm ratio of mixture columns.
     """
 
     n_samples: int
@@ -44,7 +44,6 @@ class SynthSpec:
     mixture_features: int = 0
     noise_features: int = 0
     mixture_noise: float = 1e-3
-    within_std: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class SynthSpec:
         for name in ("duplicate_pairs", "mixture_features", "noise_features"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
-        if not self.within_std > 0.0:
-            raise ParameterError("within_std must be positive")
         if self.mixture_noise < 0.0:
             raise ParameterError("mixture_noise must be non-negative")
         if self.seed < 0:
@@ -124,8 +121,8 @@ def _draw(spec: SynthSpec) -> tuple[FeatureMatrix, np.ndarray, dict]:
             for i in range(spec.clusters)
             for j in range(i + 1, spec.clusters)
         ]
-        centroids *= spec.separation * spec.within_std / min(gaps)
-    base = centroids[labels] + rng.normal(0.0, spec.within_std, size=(n, b))
+        centroids *= spec.separation / min(gaps)
+    base = centroids[labels] + rng.normal(0.0, 1.0, size=(n, b))
 
     columns = [base]
     names = [f"base{i}" for i in range(b)]

@@ -599,9 +599,29 @@ def test_error_exit_codes_match_the_readme_table():
             for name in re.findall(r"`(\w+Error)`", cells[-1]):
                 documented[name] = int(cells[0])
     classes = {cls.__name__: cls for cls in SfgraphError.__subclasses__()}
-    assert set(documented) == set(classes) | {"OSError"}
+    assert set(documented) == set(classes) | {"OSError", "MemoryError"}
     for name, cls in classes.items():
         assert cls.exit_code == documented[name], name
+    assert documented["OSError"] == documented["MemoryError"] == 2
+
+
+def test_allocation_failure_exits_two_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # A graph header declaring 10^12 nodes makes the reader allocate arrays
+    # of that length; the failure is simulated, never provoked, since an
+    # overcommitting kernel may grant the real allocation.
+    graph_path = tmp_path / "graph.tsv"
+    graph_path.write_text("# sfg d=1000000000000 failed=\n")
+
+    def out_of_memory(path):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(sfgraph.cli, "load_sfg", out_of_memory)
+    out = tmp_path / "part.txt"
+    code = main(["lcs", "--graph", str(graph_path), "--theta", "0.5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "sfgraph: error: not enough memory: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):

@@ -257,6 +257,25 @@ def test_normalize_features_flags_zero_columns():
     np.testing.assert_allclose(np.linalg.norm(normalized.values[:, 0]), 1.0)
 
 
+def test_normalize_features_columns_whose_squares_overflow():
+    # the norm of a finite column of cells near 1e200 overflows to inf; such
+    # a column is rescaled first, and every other column keeps its bits
+    rng = np.random.default_rng(4)
+    ordinary = rng.normal(size=12) * 3.0
+    direction = rng.normal(size=12)
+    edge = np.array([1.5e308, -1.7e308, 1e308] + [0.0] * 9)  # |edge| > max float
+    values = np.column_stack([ordinary, direction * 1e200, edge])
+    normalized, zero = normalize_features(FeatureMatrix(values))
+    assert zero.size == 0
+    out = normalized.values
+    assert out[:, 0].tobytes() == (ordinary / np.linalg.norm(ordinary)).tobytes()
+    for col, parallel in ((1, direction), (2, edge / 1e308)):
+        np.testing.assert_allclose(np.linalg.norm(out[:, col]), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(
+            out[:, col], parallel / np.linalg.norm(parallel), rtol=1e-14, atol=1e-300
+        )
+
+
 def test_pairwise_euclidean_matches_brute_force():
     rng = np.random.default_rng(11)
     for trial in range(20):

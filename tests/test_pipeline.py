@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -296,6 +297,21 @@ def test_reduced_matrices_are_kept_only_for_the_selection_grid(monkeypatch, mcfs
         # without it only the theta being scored holds its reduced matrix
         assert live == [0, 1, 1, 1, 1]
     assert all(ref() is None for ref in reduced)
+
+
+def test_a_clustering_pass_holds_one_n_by_n_array():
+    # the distances become the weights in place, and the eigensolver
+    # applies the normalized matrix to them without forming it
+    n = 1000
+    features = FeatureMatrix(np.random.default_rng(23).normal(size=(n, 16)))
+    labels = np.arange(n) % 10
+    tracemalloc.start()
+    try:
+        pipeline.cluster_scores(features, labels, 10, 0, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8, peak
 
 
 def test_oversized_selection_count_is_a_null_cell():
