@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .matrix import FeatureMatrix, normalize_features, pairwise_euclidean
@@ -343,17 +342,71 @@ def nmi(labels_a, labels_b) -> float:
     return min(1.0, max(0.0, (h_a + h_b - h_ab) / denom))
 
 
+def _best_match_total(table: np.ndarray) -> int:
+    """Largest sum of cells of ``table`` with at most one per row and column.
+
+    Shortest augmenting paths with row and column potentials (Jonker and
+    Volgenant, 1987): each row of the shorter side is matched in turn along
+    the cheapest path of alternating cells, on costs ``-table`` reduced by
+    the potentials, so every match made so far stays optimal.  The counts
+    are integers, so every cost and potential is exact in float64 and the
+    total is the optimum, whichever of tied matchings is found.
+    """
+    table = table.T if table.shape[0] > table.shape[1] else table
+    cost = -table.astype(np.float64)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    row_of = np.full(n_cols, -1)
+    col_of = np.full(n_rows, -1)
+    dist, final = np.empty(n_cols), np.empty(n_cols)
+    pred = np.empty(n_cols, dtype=np.intp)
+    done = np.empty(n_cols, dtype=bool)
+    for start in range(n_rows):
+        dist.fill(np.inf)  # tentative path costs of the open columns
+        done.fill(False)
+        i, low = start, 0.0
+        while True:  # Dijkstra over columns until one is free
+            reach = cost[i] - v
+            reach += low - u[i]
+            reach[done] = np.inf
+            pred[reach < dist] = i
+            np.minimum(dist, reach, out=dist)
+            j = dist.argmin()
+            low = dist[j]
+            if row_of[j] >= 0:  # among tied columns, end at a free one
+                free = (dist == low) & (row_of < 0)
+                if free.any():
+                    j = free.argmax()
+            done[j], final[j], dist[j] = True, low, np.inf
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        gain = low - final[done]
+        v[done] -= gain
+        u[start] += low
+        rows = row_of[done]
+        u[rows[rows >= 0]] += gain[rows >= 0]
+        while True:  # flip the path's cells back to ``start``
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return int(table[np.arange(n_rows), col_of].sum())
+
+
 def acc(labels_a, labels_b) -> float:
     """Best-match clustering accuracy.
 
     Fraction of samples that agree under the one-to-one relabeling of cluster
     ids that maximizes agreement: an assignment on the rectangular
     contingency table, so ids of the labeling with more of them may stay
-    unmatched.  Symmetric in its arguments.
+    unmatched.  Symmetric in its arguments.  The assignment is solved
+    exactly by shortest augmenting paths (`_best_match_total`); when several
+    relabelings tie, any of them gives the same total and the same score.
     """
     table = _contingency(labels_a, labels_b)
-    row, col = linear_sum_assignment(table, maximize=True)
-    return float(table[row, col].sum() / table.sum())
+    return float(_best_match_total(table) / table.sum())
 
 
 def mcfs_select(

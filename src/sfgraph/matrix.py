@@ -331,14 +331,24 @@ def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray
     -------
     (FeatureMatrix, ndarray of int)
         The normalized matrix and the indices of zero-norm columns.
+
+    Raises
+    ------
+    DataError
+        A NaN or infinite cell, reported with the first column holding one.
     """
     values = matrix.values
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(values, axis=0)
+    # Only a NaN or infinite cell or an overflow gives a non-finite norm, so
+    # the cells are checked in those columns alone.
+    overflowed = np.flatnonzero(~np.isfinite(norms))
+    bad = overflowed[~np.isfinite(values[:, overflowed]).all(axis=0)]
+    if bad.size:
+        raise DataError(f"non-finite value in feature column {bad[0]}")
     zero = np.flatnonzero(norms == 0.0)
     safe = np.where(norms == 0.0, 1.0, norms)
     out = values / safe
-    overflowed = np.flatnonzero(np.isinf(norms))
     if overflowed.size:
         scaled = values[:, overflowed]
         scaled /= np.abs(scaled).max(axis=0)

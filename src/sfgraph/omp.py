@@ -135,7 +135,12 @@ class SparseRepresentation:
 class GramRows:
     """Rows ``G[j] = cols[:, j] @ cols`` of a dictionary's Gram matrix, each
     computed when a fit first selects atom j and kept in one p x p array, so
-    a dictionary pays only for the atoms its fits use.
+    a dictionary pays only for the atoms its fits use.  The array is p^2
+    float64 values, 8 MB at p = 1024 and 800 MB at p = 10^4, allocated up
+    front; ``build_sfg`` starts every live column's fit from its row, so a
+    graph build computes and touches all of it.  A failed allocation raises
+    ``MemoryError``, which the command line reports as exit 2, "not enough
+    memory".
 
     Threads may share an instance: a row is computed aside and copied in
     before it is marked known, so a thread that computes it again only

@@ -123,8 +123,11 @@ def build_sfg(
     costliest fits are cut short as well.  Each fit's stop reason is kept in
     ``stop_reasons`` and its final squared residual in ``residuals``.
 
-    The fits share one cache of Gram rows ``values[:, j] @ values``, filled
-    as atoms are first selected (at most d x d doubles).  ``n_jobs`` > 1 fans
+    The fits share one cache of Gram rows ``values[:, j] @ values``.  Each
+    fit starts from its own column's row, so a build computes the row of
+    every live column: d^2 float64 values, 8 MB at d = 1024 and 800 MB at
+    d = 10^4.  When that allocation fails the ``MemoryError`` propagates, and
+    the command line exits 2 with "not enough memory".  ``n_jobs`` > 1 fans
     the per-feature fits out to a thread pool over the same cache; each task
     writes only its own row, so the result is identical for any job count.
     """

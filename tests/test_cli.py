@@ -2,7 +2,10 @@
 
 import json
 import locale
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,22 @@ import sfgraph.cli
 import sfgraph.pipeline
 from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg, sfg
 from sfgraph.cli import main
+
+
+def test_importing_the_package_loads_no_scipy_optimize():
+    # scipy.optimize is 91 modules and about 17 MB; every CLI command runs
+    # in its own process, so nothing in the package may pull it in
+    src = str(Path(sfgraph.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, sfgraph, sfgraph.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def _make_dataset(tmp_path, **kwargs):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigsh
 
 from sfgraph import (
@@ -36,6 +37,7 @@ from sfgraph import (
     pairwise_euclidean,
     spectral_embedding,
 )
+from sfgraph.evaluate import _best_match_total, _contingency
 from sfgraph.matrix import BLOCK_BYTES
 
 
@@ -558,6 +560,52 @@ def test_acc_identity_symmetry_permutation_invariance():
 
 def test_acc_handles_different_id_counts():
     assert acc([0, 0, 0, 0], [0, 1, 2, 0]) == 0.5
+
+
+def _assignment_total(table):
+    """scipy's best one-to-one total, the reference the solver replaced."""
+    row, col = linear_sum_assignment(table, maximize=True)
+    return table[row, col].sum()
+
+
+def _acc_reference(a, b):
+    """acc through scipy's assignment solver, as the reference."""
+    table = _contingency(a, b)
+    return float(_assignment_total(table) / table.sum())
+
+
+def test_acc_equals_scipy_assignment_on_random_rectangular_tables():
+    rng = np.random.default_rng(18)
+    for trial in range(300):
+        ids_a, ids_b = (int(x) for x in rng.integers(1, 41, size=2))
+        a = rng.integers(0, ids_a, size=int(rng.integers(1, 400)))
+        b = rng.integers(0, ids_b, size=a.size)
+        b = np.where(rng.random(a.size) < 0.5, a % ids_b, b)  # some agreement
+        assert acc(a, b) == _acc_reference(a, b)
+        assert acc(b, a) == _acc_reference(b, a)
+
+
+def test_best_match_total_equals_scipy_on_degenerate_tables():
+    # contingency tables from labels never hold an all-zero row or column,
+    # so the solver is also checked on such tables directly
+    rng = np.random.default_rng(19)
+    tables = [np.array([[5]]), np.zeros((3, 4), int), np.ones((1, 7), int)]
+    for trial in range(200):
+        r, c = (int(x) for x in rng.integers(1, 13, size=2))
+        ties = rng.integers(0, 3, size=(r, c))  # few distinct counts
+        zero_columns = rng.integers(1, 6, size=(r, c))
+        zero_columns[:, rng.random(c) < 0.5] = 0
+        single = np.zeros((r, c), int)
+        single[rng.integers(r), rng.integers(c)] = int(rng.integers(1, 9))
+        equal = np.full((r, c), int(rng.integers(1, 4)))
+        tables += [ties, zero_columns, single, equal]
+    for table in tables:
+        for t in (table, table.T):
+            assert _best_match_total(t) == _assignment_total(t), t
+            if t.any(axis=0).all() and t.any(axis=1).all():
+                rows, cols = np.nonzero(t)
+                a, b = (np.repeat(ids, t[rows, cols]) for ids in (rows, cols))
+                assert acc(a, b) == _acc_reference(a, b), t
 
 
 def test_metrics_treat_label_values_as_categories():

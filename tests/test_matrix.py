@@ -276,6 +276,17 @@ def test_normalize_features_columns_whose_squares_overflow():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalize_features_rejects_non_finite_cells():
+    # a NaN or infinite cell is refused by name, before any division; a
+    # column of finite cells whose norm overflows is still normalized above
+    values = np.array([[1.0, np.inf, np.nan], [2.0, 1.0, 1.0]])
+    with pytest.raises(DataError, match=r"non-finite value in feature column 1$"):
+        normalize_features(FeatureMatrix(values))
+    with pytest.raises(DataError, match=r"column 0$"):
+        normalize_features(FeatureMatrix([[-np.inf], [np.inf]]))
+
+
 def test_pairwise_euclidean_matches_brute_force():
     rng = np.random.default_rng(11)
     for trial in range(20):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sfgraph import (
+    DataError,
     DimensionError,
     FeatureMatrix,
     ParameterError,
@@ -357,6 +358,17 @@ def test_stage_errors_carry_the_stage_name():
     with pytest.raises(ParameterError) as err:
         run_pipeline(bad, None, _config())
     assert "build_sfg" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_cells_fail_the_normalize_stage():
+    # the Python API accepts any float cell; the first stage refuses them
+    matrix, labels, _ = _synth_dataset()
+    values = matrix.values.copy()
+    values[4, 3] = np.nan
+    with pytest.raises(DataError) as err:
+        run_pipeline(FeatureMatrix(values), labels, _config())
+    assert str(err.value) == "stage 'normalize': non-finite value in feature column 3"
 
 
 def test_config_validation():
