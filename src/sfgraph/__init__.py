@@ -43,7 +43,7 @@ from .matrix import (
     pairwise_euclidean,
     save_csv,
 )
-from .omp import OmpConfig, SparseRepresentation, omp, reconstruct
+from .omp import OmpConfig, SparseRepresentation, omp
 from .pipeline import PipelineConfig, render_report, run_pipeline
 from .sfg import (
     SparseFeatureGraph,
@@ -78,7 +78,6 @@ __all__ = [
     "OmpConfig",
     "SparseRepresentation",
     "omp",
-    "reconstruct",
     # graph
     "SparseFeatureGraph",
     "build_sfg",

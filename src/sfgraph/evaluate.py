@@ -95,35 +95,30 @@ class McfsResult:
     coefficients: np.ndarray
 
 
-def gaussian_similarity(samples, sigma: float | None = None) -> SimilarityGraph:
+def gaussian_similarity(samples) -> SimilarityGraph:
     """Gaussian kernel similarity between sample rows.
 
-    ``W[i, j] = exp(-dist(i, j)^2 / (2 sigma^2))``.  When ``sigma`` is not
-    given it defaults to the mean pairwise distance between distinct samples,
-    which keeps the kernel scale proportionate to the data spread.
+    ``W[i, j] = exp(-dist(i, j)^2 / (2 sigma^2))`` with ``sigma`` the mean
+    pairwise distance between distinct samples, which keeps the kernel scale
+    proportionate to the data spread.
     """
     x = samples.values if isinstance(samples, FeatureMatrix) else np.asarray(samples)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionError("need a 2-D matrix with at least 2 sample rows")
     dist = pairwise_euclidean(x)
-    if sigma is None:
-        n = x.shape[0]
-        sigma = float(dist.sum() / (n * (n - 1)))
-        if sigma == 0.0:
-            raise DataError(
-                "all samples are identical; similarity width is undefined"
-            )
-    elif not sigma > 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    n = x.shape[0]
+    sigma = float(dist.sum() / (n * (n - 1)))
+    if sigma == 0.0:
+        raise DataError("all samples are identical; similarity width is undefined")
     # The kernel is formed in place on the distances, one n x n array: the
     # operations and their order are those of exp(-(dist**2) / (2 sigma^2)),
     # so the weights are bitwise the same.
     weights = np.square(dist, out=dist)
     np.negative(weights, out=weights)
-    weights /= 2.0 * float(sigma) ** 2
+    weights /= 2.0 * sigma**2
     np.exp(weights, out=weights)
-    return SimilarityGraph(weights, float(sigma))
+    return SimilarityGraph(weights, sigma)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

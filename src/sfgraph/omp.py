@@ -18,7 +18,7 @@ has rows, ⌊n/2⌋ (at least 1).  With fewer samples than atoms any target is a
 exact combination of about n atoms, so a fit that needs more than n/2 of them
 describes the span, not the target.  Stopped there, such a fit keeps a
 residual, and its reconstruction angle stays large enough for an angle
-filter to reject it; it also no longer pays for the longest, costliest fits.
+filter to reject it; the cap also bounds the cost of the longest fits.
 
 The pursuit is carried in coefficient space (Batch-OMP in QR form): with
 ``cols[:, support] = Q R`` for an orthonormal Q that is never formed, it
@@ -57,7 +57,7 @@ from scipy.linalg.lapack import dtrtrs
 from .errors import ParameterError
 from .matrix import FeatureMatrix
 
-__all__ = ["OmpConfig", "SparseRepresentation", "omp", "reconstruct"]
+__all__ = ["OmpConfig", "SparseRepresentation", "omp"]
 
 # Columns and targets are required to be unit-norm within this tolerance.
 UNIT_NORM_TOL = 1e-6
@@ -350,11 +350,3 @@ def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresenta
     support, coef, trace, reason = _greedy_fit(cols, t, cfg.epsilon, cfg.max_support)
     return SparseRepresentation(support, coef, trace, reason)
 
-
-def reconstruct(rep: SparseRepresentation, dictionary) -> np.ndarray:
-    """Dense reconstruction ``sum_j coef_j * atom_j`` of a sparse fit."""
-    cols = dictionary.values if isinstance(dictionary, FeatureMatrix) else dictionary
-    cols = np.asarray(cols, dtype=np.float64)
-    if rep.support.size == 0:
-        return np.zeros(cols.shape[0])
-    return cols[:, rep.support] @ rep.coefficients

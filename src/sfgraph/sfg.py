@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,6 +44,9 @@ __all__ = [
 # Bins of the angle histogram: 5 degrees each, so the default 15-degree
 # filter threshold falls on a bin edge.
 ANGLE_BINS = 18
+# The first line of a graph file, as save_sfg writes it: the node count and
+# the comma-separated failed node ids, possibly none.
+_HEADER = re.compile(r"# sfg d=(?P<d>[0-9]+) failed=(?P<failed>[0-9]+(?:,[0-9]+)*|)")
 
 
 @dataclass
@@ -255,29 +259,25 @@ def save_sfg(graph: SparseFeatureGraph, path) -> None:
 def load_sfg(path) -> SparseFeatureGraph:
     """Read a graph written by :func:`save_sfg`.
 
-    Raises :class:`ParseError` for a malformed header or edge line, a node
-    index outside ``[0, d)``, a self-loop, a repeated edge, a non-finite
-    weight or bytes that are not valid text.
+    The first line must be exactly the header :func:`save_sfg` writes.
+    Raises :class:`ParseError` for any other first line, a failed id outside
+    ``[0, d)``, a malformed edge line, a node index outside ``[0, d)``, a
+    self-loop, a repeated edge, a non-finite weight or bytes that are not
+    valid text.
     """
     with open(path) as fh:
         lines = _text_lines(fh, path)
-        header = next(lines, "").strip()
-        if not header.startswith("# sfg "):
-            raise ParseError(f"{path}: missing graph header line")
-        fields = dict(
-            part.split("=", 1) for part in header[len("# sfg ") :].split() if "=" in part
-        )
-        try:
-            d = int(fields["d"])
-            failed = frozenset(
-                int(tok) for tok in fields.get("failed", "").split(",") if tok
-            )
-        except (KeyError, ValueError):
-            raise ParseError(f"{path}: bad graph header: {header!r}") from None
-        if d < 0 or any(not 0 <= i < d for i in failed):
+        header = next(lines, "").rstrip("\n")
+        match = _HEADER.fullmatch(header)
+        if match is None:
             raise ParseError(
-                f"{path}: header needs d >= 0 and failed ids in [0, d): {header!r}"
+                f"{path}: bad graph header {header!r}: expected "
+                f"'# sfg d=<nodes> failed=<comma-separated ids>'"
             )
+        d = int(match["d"])
+        failed = frozenset(int(tok) for tok in match["failed"].split(",") if tok)
+        if any(i >= d for i in failed):
+            raise ParseError(f"{path}: header needs failed ids in [0, d): {header!r}")
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []

@@ -6,8 +6,8 @@ Columns come out in four blocks, in this order:
    carry the cluster signal;
 2. *duplicates*: exact copies of base features (one copy per pair, cycling
    through the base block);
-3. *mixtures*: convex combinations of 2-4 base features plus a small noise
-   term, scaled relative to the signal norm;
+3. *mixtures*: convex combinations of 2-4 base features plus Gaussian noise
+   whose scale is ``MIXTURE_NOISE`` times the combination's RMS;
 4. *noise*: pure Gaussian columns with no structure at all.
 
 The returned ground truth records exactly which column plays which role, so
@@ -26,14 +26,17 @@ from .matrix import FeatureMatrix
 
 __all__ = ["SynthSpec", "generate"]
 
+# Noise-to-signal ratio of every mixture column: the noise's standard
+# deviation over the root mean square of the convex combination.
+MIXTURE_NOISE = 1e-3
+
 
 @dataclass
 class SynthSpec:
     """Recipe for one synthetic dataset.
 
     Base features are unit-variance noise around their cluster's centroid;
-    separation is the minimum distance between centroids in those units, and
-    mixture_noise the noise-to-signal norm ratio of mixture columns.
+    separation is the minimum distance between centroids in those units.
     """
 
     n_samples: int
@@ -43,7 +46,6 @@ class SynthSpec:
     duplicate_pairs: int = 0
     mixture_features: int = 0
     noise_features: int = 0
-    mixture_noise: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,8 +66,6 @@ class SynthSpec:
         for name in ("duplicate_pairs", "mixture_features", "noise_features"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
-        if self.mixture_noise < 0.0:
-            raise ParameterError("mixture_noise must be non-negative")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
@@ -150,10 +150,8 @@ def _draw(spec: SynthSpec) -> tuple[FeatureMatrix, np.ndarray, dict]:
         weights = rng.uniform(0.2, 1.0, size=count)
         weights /= weights.sum()
         signal = base[:, parents] @ weights
-        col = signal
-        if spec.mixture_noise > 0.0:
-            scale = spec.mixture_noise * np.linalg.norm(signal) / np.sqrt(n)
-            col = signal + rng.normal(0.0, scale, size=n)
+        scale = MIXTURE_NOISE * np.linalg.norm(signal) / np.sqrt(n)
+        col = signal + rng.normal(0.0, scale, size=n)
         columns.append(col[:, None])
         names.append(f"mix{t}")
         truth["mixtures"].append(

@@ -36,7 +36,6 @@ from sfgraph import (
     nmi,
     normalize_features,
     omp,
-    reconstruct,
     render_report,
     run_pipeline,
     select_representatives,
@@ -99,7 +98,7 @@ def test_a02_solver_invariants_hold_across_random_instances():
         trace = rep.residual_norms
         assert trace.shape == (rep.support.size + 1,)
         assert np.all(np.diff(trace) <= 1e-12), trial  # residual never grows
-        residual = target - reconstruct(rep, dictionary)
+        residual = target - dictionary[:, rep.support] @ rep.coefficients
         if rep.support.size:
             overlap = np.abs(dictionary[:, rep.support].T @ residual)
             assert float(overlap.max()) <= 1e-8, trial
@@ -172,7 +171,6 @@ def test_a04_theta_sweep_keeps_nmi_stable_and_retained_monotone():
             duplicate_pairs=20,
             mixture_features=20,
             noise_features=20,
-            mixture_noise=1e-3,
             seed=seed,
         )
         matrix, labels, _ = generate(spec)

@@ -565,8 +565,20 @@ def test_non_finite_csv_cell_exits_two(tmp_path, capsys, cell):
         ("# sfg d=3 failed=\n0\t1\t0.6\n0\t1\t0.6\n", "repeated edge"),
         ("# sfg d=3 failed=3\n0\t1\t0.5\n", "failed ids"),
         ("# sfg d=3 failed=\n0\t1\tnan\n", "finite weight"),
+        ("# sfg d=3 failed=0, 1\n", "'# sfg d=3 failed=0, 1'"),
+        ("# sfg d=3 d=5 failed=\n", "'# sfg d=3 d=5 failed='"),
+        ("foo=bar\n", "'foo=bar'"),
+        ("# sfg d=3\n0\t1\t0.5\n", "'# sfg d=3'"),
+        ("# sfg d=3 failed=1,\n", "'# sfg d=3 failed=1,'"),
+        ("# sfg d=3 failed=1 \n", "'# sfg d=3 failed=1 '"),
+        ("0\t1\t0.5\n", "'0\\t1\\t0.5'"),
+        ("", "bad graph header ''"),
     ],
-    ids=["index-out-of-range", "self-loop", "duplicate-edge", "failed-id", "nan-weight"],
+    ids=[
+        "index-out-of-range", "self-loop", "duplicate-edge", "failed-id", "nan-weight",
+        "header-space-in-failed", "header-repeated-d", "header-foreign", "header-no-failed",
+        "header-trailing-comma", "header-trailing-space", "header-missing", "empty-file",
+    ],
 )
 def test_lcs_rejects_malformed_graph_file(tmp_path, capsys, text, problem):
     graph_path = tmp_path / "graph.tsv"

@@ -105,10 +105,7 @@ def test_similarity_default_width_is_mean_offdiagonal_distance():
 def test_similarity_is_scale_invariant_with_matching_width():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(10, 3))
-    base = gaussian_similarity(x, sigma=0.7)
-    scaled = gaussian_similarity(3.5 * x, sigma=3.5 * 0.7)
-    np.testing.assert_allclose(scaled.weights, base.weights, atol=1e-12)
-    # and the default width self-adjusts, so no sigma is needed at all
+    # the width is the mean pairwise distance, so it scales with the data
     auto, auto_scaled = gaussian_similarity(x), gaussian_similarity(2.0 * x)
     np.testing.assert_allclose(auto_scaled.weights, auto.weights, atol=1e-12)
 
@@ -118,12 +115,11 @@ def test_similarity_weights_are_bitwise_the_out_of_place_kernel():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(120, 9)) * rng.uniform(0.1, 10.0, size=9)
     dist = pairwise_euclidean(x)
-    auto_sigma = float(dist.sum() / (120 * 119))
-    for sigma, expected_sigma in ((None, auto_sigma), (0.37, 0.37)):
-        sim = gaussian_similarity(x, sigma)
-        assert sim.sigma == expected_sigma
-        expected = np.exp(-(dist**2) / (2.0 * expected_sigma**2))
-        assert sim.weights.tobytes() == expected.tobytes()
+    sigma = float(dist.sum() / (120 * 119))
+    sim = gaussian_similarity(x)
+    assert sim.sigma == sigma
+    expected = np.exp(-(dist**2) / (2.0 * sigma**2))
+    assert sim.weights.tobytes() == expected.tobytes()
 
 
 def test_similarity_identical_samples_is_a_data_error():
@@ -131,12 +127,7 @@ def test_similarity_identical_samples_is_a_data_error():
         gaussian_similarity(np.ones((5, 3)))
 
 
-def test_similarity_validates_sigma_and_shape():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(5, 2))
-    for bad in (0.0, -1.0):
-        with pytest.raises(ParameterError):
-            gaussian_similarity(x, sigma=bad)
+def test_similarity_validates_shape():
     with pytest.raises(DimensionError):
         gaussian_similarity(np.ones(4))
 

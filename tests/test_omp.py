@@ -17,13 +17,11 @@ from sfgraph import (
     FeatureMatrix,
     OmpConfig,
     ParameterError,
-    SparseRepresentation,
     SynthSpec,
     build_sfg,
     generate,
     normalize_features,
     omp,
-    reconstruct,
 )
 from sfgraph.omp import (
     CORRELATION_FLOOR,
@@ -156,7 +154,7 @@ def test_residual_trace_is_monotone_and_orthogonal():
         assert np.all(np.diff(trace) <= 1e-12), f"trace rose on trial {trial}"
         assert trace.shape == (rep.support.size + 1,)
         # the final residual is orthogonal to every selected atom
-        residual = target - reconstruct(rep, cols)
+        residual = target - cols[:, rep.support] @ rep.coefficients
         if rep.support.size:
             overlap = np.abs(residual @ cols[:, rep.support])
             assert float(overlap.max()) <= 1e-8
@@ -310,26 +308,6 @@ def test_config_validation():
         OmpConfig(epsilon=-1e-6)
     with pytest.raises(ParameterError):
         OmpConfig(max_support=0)
-
-
-def test_reconstruct_empty_support_is_zero():
-    cols = _orthonormal_dictionary(5, 2, seed=5)
-    rep = SparseRepresentation(
-        np.array([], dtype=np.intp), np.array([]), np.array([1.0]), STOP_NO_ATOM
-    )
-    np.testing.assert_array_equal(reconstruct(rep, cols), np.zeros(5))
-
-
-def test_reconstruct_matches_manual_sum():
-    rng = np.random.default_rng(6)
-    cols = _random_unit_dictionary(12, 6, rng)
-    target = rng.normal(size=12)
-    target /= np.linalg.norm(target)
-    rep = omp(cols, target)
-    manual = np.zeros(12)
-    for j, w in zip(rep.support, rep.coefficients):
-        manual += w * cols[:, j]
-    np.testing.assert_allclose(reconstruct(rep, cols), manual, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

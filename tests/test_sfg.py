@@ -384,22 +384,30 @@ def test_angle_histogram_clamps_angles_beyond_right_edge():
 
 def test_save_load_round_trip_preserves_graph_exactly(tmp_path):
     rng = np.random.default_rng(6)
-    for trial in range(10):
+    graphs = []
+    for _ in range(10):
         d = int(rng.integers(2, 12))
         dense = rng.normal(size=(d, d)) * (rng.random(size=(d, d)) < 0.35)
         np.fill_diagonal(dense, 0.0)
         failed = frozenset(
             int(i) for i in rng.choice(d, size=int(rng.integers(0, d)), replace=False)
         )
-        graph = SparseFeatureGraph(sp.csr_matrix(dense), failed)
+        graphs.append(SparseFeatureGraph(sp.csr_matrix(dense), failed))
+    # header edge cases: d = 0 with no failed id, one node, two-digit ids
+    graphs.append(_graph_from_rows(0, {}))
+    graphs.append(SparseFeatureGraph(_graph_from_rows(1, {}).weights, frozenset({0})))
+    graphs.append(SparseFeatureGraph(_graph_from_rows(12, {11: {10: -2.0}}).weights,
+                                     frozenset(range(12))))
+    for trial, graph in enumerate(graphs):
         path = tmp_path / f"graph_{trial}.tsv"
         save_sfg(graph, path)
         loaded = load_sfg(path)
-        assert loaded.n_nodes == d
+        assert loaded.n_nodes == graph.n_nodes
         assert loaded.failed_nodes == graph.failed_nodes
         np.testing.assert_array_equal(loaded.weights.indptr, graph.weights.indptr)
         np.testing.assert_array_equal(loaded.weights.indices, graph.weights.indices)
         np.testing.assert_array_equal(loaded.weights.data, graph.weights.data)
+    assert path.read_text().startswith("# sfg d=12 failed=0,1,2,3,4,5,6,7,8,9,10,11\n")
 
 
 def test_save_sfg_writes_row_major_edges_with_shortest_round_trip_weights(tmp_path):

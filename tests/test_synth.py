@@ -96,9 +96,7 @@ def test_truth_roles_cover_all_columns_without_overlap():
 
 
 def test_mixtures_are_convex_combinations_of_their_parents():
-    spec = SynthSpec(
-        n_samples=50, base_features=5, mixture_features=4, mixture_noise=1e-3, seed=4
-    )
+    spec = SynthSpec(n_samples=50, base_features=5, mixture_features=4, seed=4)
     matrix, _, truth = generate(spec)
     for record in truth["mixtures"]:
         weights = np.asarray(record["weights"])
@@ -109,16 +107,6 @@ def test_mixtures_are_convex_combinations_of_their_parents():
         column = matrix.values[:, record["index"]]
         rel_err = np.linalg.norm(column - signal) / np.linalg.norm(signal)
         assert rel_err < 5e-3  # noise scale is 1e-3 relative to the signal
-
-
-def test_noiseless_mixtures_are_exact():
-    spec = SynthSpec(
-        n_samples=30, base_features=4, mixture_features=3, mixture_noise=0.0, seed=5
-    )
-    matrix, _, truth = generate(spec)
-    for record in truth["mixtures"]:
-        signal = matrix.values[:, record["parents"]] @ np.asarray(record["weights"])
-        np.testing.assert_array_equal(matrix.values[:, record["index"]], signal)
 
 
 def test_labels_are_balanced():
@@ -152,8 +140,6 @@ def test_spec_validation():
         SynthSpec(n_samples=10, base_features=1, mixture_features=1)
     with pytest.raises(ParameterError):
         SynthSpec(n_samples=10, base_features=2, duplicate_pairs=-1)
-    with pytest.raises(ParameterError):
-        SynthSpec(n_samples=10, base_features=2, mixture_noise=-0.1)
     for separation in (np.inf, -np.inf, np.nan):
         for clusters in (1, 3):
             with pytest.raises(ParameterError, match="separation must be finite"):
