@@ -7,7 +7,9 @@ Subcommands cover the individual pipeline stages (``synth``, ``sfg``,
 ``--seed`` one of at least 0, ``--max-angle-deg`` degrees in (0, 90],
 ``--theta`` a number in (0, 1] and ``--epsilon`` one above 0, NaN never,
 so a bad count, seed, angle or threshold is a usage error before any file
-is read.
+is read.  Ground-truth labels come only from a ``--labels`` file, one integer
+per line: ``eval-sc`` and ``eval-mcfs`` without it are a usage error before
+any file is read, and ``pipeline`` without it reports null scores.
 Exit codes: 0 success, 1 usage/parameter problems, 2 unusable input data
 or memory, 3 numerical failure; an error's code is its class's ``exit_code``.
 """
@@ -21,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, SfgraphError
+from .errors import DimensionError, SfgraphError
 from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
 from .matrix import load_csv, load_labels, normalize_features, save_csv
 from .omp import OmpConfig
@@ -91,26 +93,16 @@ _theta = _float_in(0.0, 1.0, "a threshold in (0, 1]")  # every --theta
 _epsilon = _float_in(0.0, math.inf, "a positive threshold")
 
 
-def _label_column(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        return value
-
-
 def _load_dataset(args):
-    """(features, labels or None) honoring --labels / --label-column."""
-    label_column = getattr(args, "label_column", None)
-    labels_path = getattr(args, "labels", None)
-    if labels_path and label_column is not None:
-        raise ParameterError("give either --labels or --label-column, not both")
-    features, labels = load_csv(args.input, label_column=label_column)
-    if labels_path:
-        labels = load_labels(labels_path)
-        if labels.shape[0] != features.n_samples:
-            raise DimensionError(
-                f"{labels.shape[0]} labels for {features.n_samples} samples"
-            )
+    """(features, labels or None): the --input CSV and the --labels file."""
+    features = load_csv(args.input)
+    if args.labels is None:
+        return features, None
+    labels = load_labels(args.labels)
+    if labels.shape[0] != features.n_samples:
+        raise DimensionError(
+            f"{labels.shape[0]} labels for {features.n_samples} samples"
+        )
     return features, labels
 
 
@@ -143,7 +135,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sfg(args) -> int:
-    features, _ = _load_dataset(args)
+    features = load_csv(args.input)
     normalized, _ = normalize_features(features)
     graph = build_sfg(normalized, OmpConfig(epsilon=args.epsilon))
     filtered = filter_failed(graph, normalized, np.deg2rad(args.max_angle_deg))
@@ -171,7 +163,7 @@ def cmd_lcs(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    features, _ = _load_dataset(args)
+    features = load_csv(args.input)
     graph = load_sfg(args.graph)
     if graph.n_nodes != features.n_features:
         raise DimensionError(
@@ -188,17 +180,8 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _require_labels(labels):
-    if labels is None:
-        raise ParameterError(
-            "ground-truth labels are required: pass --labels or --label-column"
-        )
-    return labels
-
-
 def cmd_eval_sc(args) -> int:
     features, labels = _load_dataset(args)
-    labels = _require_labels(labels)
     normalized, _ = normalize_features(features)
     _, sigma, nmi, acc = cluster_scores(
         normalized, labels, args.k, args.seed, args.restarts
@@ -219,7 +202,6 @@ def cmd_eval_sc(args) -> int:
 
 def cmd_eval_mcfs(args) -> int:
     features, labels = _load_dataset(args)
-    labels = _require_labels(labels)
     normalized, _ = normalize_features(features)
     emb, _, _, _ = cluster_scores(normalized, None, args.k, args.seed, args.restarts)
     counts = args.m if args.m else list(range(10, 61, 5))
@@ -231,10 +213,6 @@ def cmd_eval_mcfs(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.require_labels and not args.labels and args.label_column is None:
-        raise ParameterError(
-            "--require-labels set but no --labels/--label-column given"
-        )
     features, labels = _load_dataset(args)
     config = PipelineConfig(
         k_clusters=args.k,
@@ -266,16 +244,12 @@ def cmd_pipeline(args) -> int:
 # parser assembly
 
 
-def _add_dataset_flags(p, with_labels: bool = True) -> None:
+def _add_input_flag(p) -> None:
     p.add_argument("--input", required=True, help="input CSV dataset")
-    p.add_argument(
-        "--label-column",
-        type=_label_column,
-        default=None,
-        help="column (index or header name) holding class labels",
-    )
-    if with_labels:
-        p.add_argument("--labels", default=None, help="label file, one integer per line")
+
+
+def _add_labels_flag(p, required: bool) -> None:
+    p.add_argument("--labels", required=required, help="label file, one integer per line")
 
 
 def _add_cluster_flags(p) -> None:
@@ -318,7 +292,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sfg", help="build and angle-filter the sparse feature graph")
-    _add_dataset_flags(p, with_labels=False)
+    _add_input_flag(p)
     _add_graph_flags(p)
     p.add_argument("--angles", default=None, help="also write the angle histogram CSV")
     p.add_argument("--out", required=True, help="output graph TSV")
@@ -331,20 +305,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_lcs)
 
     p = sub.add_parser("reduce", help="write the dataset restricted to kept features")
-    _add_dataset_flags(p, with_labels=False)
+    _add_input_flag(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--theta", type=_theta, required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("eval-sc", help="spectral clustering agreement with labels")
-    _add_dataset_flags(p)
+    _add_input_flag(p)
+    _add_labels_flag(p, required=True)
     _add_cluster_flags(p)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_eval_sc)
 
     p = sub.add_parser("eval-mcfs", help="regression-based selection + clustering")
-    _add_dataset_flags(p)
+    _add_input_flag(p)
+    _add_labels_flag(p, required=True)
     p.add_argument(
         "--m",
         type=_count,
@@ -357,8 +333,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval_mcfs)
 
     p = sub.add_parser("pipeline", help="full reduction + evaluation sweep")
-    _add_dataset_flags(p)
-    p.add_argument("--require-labels", action="store_true")
+    _add_input_flag(p)
+    _add_labels_flag(p, required=False)
     _add_graph_flags(p)
     p.add_argument(
         "--theta",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .matrix import FeatureMatrix
 from .sfg import SparseFeatureGraph
 
@@ -63,10 +63,13 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     The groups are the weakly connected components of the participating
     edges.  Nodes rank by decreasing in-degree (ties to the lower index),
     groups are labelled 1, 2, ... in the order of their best-ranked member,
-    and that member is the subgraph's representative.
+    and that member is the subgraph's representative.  A graph with no
+    nodes has nothing to mine and raises :class:`DimensionError`.
     """
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
+    if graph.n_nodes == 0:
+        raise DimensionError("graph has no nodes: there are no features to group")
     strong = graph.weights.copy()
     # |w| / max_w >= theta, not |w| >= theta * max_w: the two round differently.
     strong.data = np.abs(strong.data) / graph.max_abs_weight() >= theta

@@ -26,7 +26,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError, ParseError
+from .errors import DataError, DimensionError, ParseError
 
 # Cache-sized budget of the block that ``pairwise_euclidean`` forms squared
 # distances through: the distances are then the one n x n float64 array of a
@@ -218,77 +218,37 @@ def _read_cells(path) -> tuple[list[str] | None, np.ndarray]:
     return header, parsed
 
 
-def load_csv(path, label_column=None) -> tuple[FeatureMatrix, np.ndarray | None]:
-    """Load a rectangular numeric CSV file.
+def load_csv(path) -> FeatureMatrix:
+    """Load a rectangular numeric CSV file as a :class:`FeatureMatrix`.
 
     An optional single header row is detected by the first row containing any
-    cell that does not parse as a number.  ``label_column`` selects one column
-    to split off as integer class labels; it may be a 0-based column index
-    (negatives count from the right) or, when a header is present, a column
-    name.
+    cell that does not parse as a number; its cells become the feature names.
+    Every column is a feature: class labels come from a separate file, read
+    by :func:`load_labels`.
 
     The body is converted by numpy's C tokenizer in one pass; a file it
     rejects is read cell by cell with ``csv`` and ``float()``.  Either way
     the files accepted, the values and the messages are the same.
 
-    Returns
-    -------
-    (FeatureMatrix, labels or None)
-
     Raises
     ------
     ParseError
-        Ragged rows, non-numeric cells outside the header, non-integer
-        label values, or bytes that are not valid text.  A row is reported
-        by the 1-based file line it ends on, blank lines included.
+        Ragged rows, non-numeric cells outside the header, or bytes that
+        are not valid text.  A row is reported by the 1-based file line it
+        ends on, blank lines included.
     DataError
         A NaN or infinite cell, reported with its row and column.
     DimensionError
-        Fewer than 2 samples or fewer than 2 feature columns after label
-        extraction.
+        Fewer than 2 samples or fewer than 2 feature columns.
     """
     table = _read_with_numpy(path)
     header, parsed = table if table is not None else _read_cells(path)
-    width = parsed.shape[1]
-
-    labels = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise ParameterError(
-                    f"label column {label_column!r} given but file has no header row"
-                )
-            try:
-                col = header.index(label_column)
-            except ValueError:
-                raise ParameterError(
-                    f"label column {label_column!r} not in header {header}"
-                ) from None
-        else:
-            col = int(label_column)
-            if col < 0:
-                col += width
-            if not 0 <= col < width:
-                raise ParameterError(
-                    f"label column index {label_column} out of range for {width} columns"
-                )
-        raw = parsed[:, col]
-        if not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)):
-            raise ParseError(
-                f"{path}: label column holds values that are not 64-bit integers"
-            )
-        labels = raw.astype(np.int64)
-        keep = [j for j in range(width) if j != col]
-        parsed = parsed[:, keep]
-        if header is not None:
-            header = [header[j] for j in keep]
-
     if parsed.shape[0] < 2 or parsed.shape[1] < 2:
         raise DimensionError(
             f"{path}: need at least 2 samples and 2 features, "
             f"got {parsed.shape[0]}x{parsed.shape[1]}"
         )
-    return FeatureMatrix(parsed, tuple(header) if header is not None else None), labels
+    return FeatureMatrix(parsed, tuple(header) if header is not None else None)
 
 
 def load_labels(path) -> np.ndarray:

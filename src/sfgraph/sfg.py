@@ -259,11 +259,14 @@ def save_sfg(graph: SparseFeatureGraph, path) -> None:
 def load_sfg(path) -> SparseFeatureGraph:
     """Read a graph written by :func:`save_sfg`.
 
-    The first line must be exactly the header :func:`save_sfg` writes.
-    Raises :class:`ParseError` for any other first line, a failed id outside
-    ``[0, d)``, a malformed edge line, a node index outside ``[0, d)``, a
-    self-loop, a repeated edge, a non-finite weight or bytes that are not
-    valid text.
+    The first line must be exactly the header :func:`save_sfg` writes, and
+    every other line an edge line as it writes them: each field equal to its
+    own canonical rendering (``str(int(f))`` for the node ids, ``repr(float(f))``
+    for the weight), so padding, signs, digit separators and blank lines are
+    refused.  Raises :class:`ParseError` for any other first line, a failed
+    id outside ``[0, d)``, a malformed edge line, a node index outside
+    ``[0, d)``, a self-loop, a repeated edge, a non-finite weight or bytes
+    that are not valid text.
     """
     with open(path) as fh:
         lines = _text_lines(fh, path)
@@ -282,16 +285,17 @@ def load_sfg(path) -> SparseFeatureGraph:
         cols: list[int] = []
         vals: list[float] = []
         for line_no, line in enumerate(lines, start=2):
-            text = line.strip()
-            if not text:
-                continue
+            text = line.rstrip("\n")
             parts = text.split("\t")
             if len(parts) != 3:
                 raise ParseError(f"{path}: line {line_no}: expected 3 tab-separated fields")
             try:
                 i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+                canonical = [str(i), str(j), repr(w)] == parts
             except ValueError:
-                raise ParseError(f"{path}: line {line_no}: bad edge {text!r}") from None
+                canonical = False
+            if not canonical:
+                raise ParseError(f"{path}: line {line_no}: bad edge {text!r}")
             if not (0 <= i < d and 0 <= j < d and i != j and math.isfinite(w)):
                 raise ParseError(
                     f"{path}: line {line_no}: edge {text!r} needs two distinct "

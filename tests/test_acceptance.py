@@ -423,7 +423,7 @@ _ORL_LABELS = Path(__file__).parent / "data" / "orl_labels.txt"
     reason="integration dataset not present under tests/data/",
 )
 def test_a10_full_sweep_on_provided_face_dataset(tmp_path):
-    matrix, _ = load_csv(_ORL_DATA)
+    matrix = load_csv(_ORL_DATA)
     labels = load_labels(_ORL_LABELS)
     assert matrix.values.shape == (400, 1024)
     assert np.unique(labels).size == 40

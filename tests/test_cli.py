@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sfgraph.cli
@@ -58,7 +57,7 @@ def test_synth_writes_dataset_labels_and_truth(tmp_path, capsys):
     assert data.exists() and labels.exists()
     truth = json.loads((data.parent / "ground_truth.json").read_text())
     assert truth["n_features"] == 10
-    matrix, _ = load_csv(data)
+    matrix = load_csv(data)
     assert matrix.n_features == 10
     assert matrix.n_samples == 40
     assert "40x10" in capsys.readouterr().out
@@ -253,7 +252,7 @@ def test_lcs_and_reduce_agree_on_kept_features(tmp_path, capsys):
             "--out", str(reduced_path),
         ]
     ) == 0
-    reduced, _ = load_csv(reduced_path)
+    reduced = load_csv(reduced_path)
     # two exact duplicate pairs are planted, so at least two columns drop
     assert reduced.n_features <= 8
     group_lines = [l for l in part_path.read_text().splitlines() if ":" not in l]
@@ -289,30 +288,6 @@ def test_eval_sc_prints_to_stdout_without_out(tmp_path, capsys):
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_features"] == 10
-
-
-def test_eval_sc_label_column_variant(tmp_path):
-    path = tmp_path / "inline.csv"
-    rng = np.random.default_rng(0)
-    rows = ["f0,f1,f2,class"]
-    for i in range(20):
-        label = i % 2
-        center = 6.0 * label
-        vals = center + rng.normal(size=3)
-        rows.append(",".join(repr(float(v)) for v in vals) + f",{label}")
-    path.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "scores.json"
-    code = main(
-        [
-            "eval-sc",
-            "--input", str(path),
-            "--label-column", "class",
-            "--k", "2",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert json.loads(out.read_text())["n_features"] == 3
 
 
 def test_eval_mcfs_uses_default_count_grid(tmp_path):
@@ -386,13 +361,14 @@ def test_pipeline_writes_all_report_files(tmp_path, capsys):
 def test_removed_flags_are_usage_errors(tmp_path, capsys):
     # a theta keeps one feature per group, the angle histogram has one shape,
     # a pipeline run is set by its flags alone, the kernel width is always the
-    # mean sample distance and synth's mixtures always carry the default
-    # noise: none has a flag any more
+    # mean sample distance, synth's mixtures always carry the default noise
+    # and labels come only from the --labels file: none has a flag any more
     data, labels = _make_dataset(tmp_path)
     graph = tmp_path / "graph.tsv"
     assert main(["sfg", "--input", str(data), "--out", str(graph)]) == 0
     out = tmp_path / "never"
     dataset = ["--input", str(data)]
+    labelled = [*dataset, "--labels", str(labels), "--k", "2", "--out", str(out)]
     for argv, removed in (
         (["sfg", *dataset, "--out", str(out)], ["--bins", "18"]),
         (["lcs", "--graph", str(graph), "--theta", "0.5", "--out", str(out)],
@@ -407,6 +383,13 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys):
           "--out", str(out)], ["--sigma", "0.5"]),
         (["synth", "--n", "40", "--base", "6", "--out", str(out)],
          ["--mixture-noise", "0.01"]),
+        (["sfg", *dataset, "--out", str(out)], ["--label-column", "class"]),
+        (["reduce", *dataset, "--graph", str(graph), "--theta", "0.5",
+          "--out", str(out)], ["--label-column", "class"]),
+        (["eval-sc", *labelled], ["--label-column", "class"]),
+        (["eval-mcfs", *labelled], ["--label-column", "class"]),
+        (["pipeline", *labelled], ["--label-column", "class"]),
+        (["pipeline", *labelled], ["--require-labels"]),
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -415,22 +398,6 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys):
         err_text = capsys.readouterr().err
         assert "unrecognized arguments: " + " ".join(removed) in err_text
         assert not out.exists()
-
-
-def test_pipeline_require_labels_fails_before_computation(tmp_path):
-    data, _ = _make_dataset(tmp_path)
-    out = tmp_path / "never"
-    code = main(
-        [
-            "pipeline",
-            "--input", str(data),
-            "--require-labels",
-            "--k", "2",
-            "--out", str(out),
-        ]
-    )
-    assert code == 1
-    assert not out.exists()
 
 
 def test_pipeline_is_deterministic_across_runs(tmp_path):
@@ -509,17 +476,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
 
 
 def test_parameter_conflicts_exit_one(tmp_path):
-    data, labels = _make_dataset(tmp_path)
-    code = main(
-        [
-            "eval-sc",
-            "--input", str(data),
-            "--labels", str(labels),
-            "--label-column", "0",
-            "--k", "2",
-        ]
-    )
-    assert code == 1
+    data, _ = _make_dataset(tmp_path)
     graph_path = tmp_path / "graph.tsv"
     main(["sfg", "--input", str(data), "--out", str(graph_path)])
     # a bad theta is a usage error, caught while the flags are parsed
@@ -533,6 +490,26 @@ def test_parameter_conflicts_exit_one(tmp_path):
             ]
         )
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["eval-sc", "eval-mcfs"])
+def test_eval_without_labels_is_a_usage_error_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, command
+):
+    def never(*args, **kwargs):
+        raise AssertionError("no file may be read")
+
+    for reader in ("load_csv", "load_labels"):
+        monkeypatch.setattr(sfgraph.cli, reader, never)
+    out = tmp_path / "never"
+    argv = [command, "--input", str(tmp_path / "missing.csv"), "--k", "3"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(out)])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "the following arguments are required: --labels" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_two(tmp_path):
@@ -573,11 +550,25 @@ def test_non_finite_csv_cell_exits_two(tmp_path, capsys, cell):
         ("# sfg d=3 failed=1 \n", "'# sfg d=3 failed=1 '"),
         ("0\t1\t0.5\n", "'0\\t1\\t0.5'"),
         ("", "bad graph header ''"),
+        ("# sfg d=0 failed=\n", "graph has no nodes"),
+        ("# sfg d=3 failed=\n0\t1\tinf\n", "finite weight"),
+        ("# sfg d=12 failed=\n1_0\t+2\t 0.5\n", "bad edge '1_0\\t+2\\t 0.5'"),
+        ("# sfg d=3 failed=\n 0\t1\t0.5\n", "bad edge ' 0\\t1\\t0.5'"),
+        ("# sfg d=3 failed=\n0\t+1\t0.5\n", "bad edge '0\\t+1\\t0.5'"),
+        ("# sfg d=3 failed=\n00\t1\t0.5\n", "bad edge '00\\t1\\t0.5'"),
+        ("# sfg d=3 failed=\n0\t1\t0.50\n", "bad edge '0\\t1\\t0.50'"),
+        ("# sfg d=3 failed=\n0\t1\t1e3\n", "bad edge '0\\t1\\t1e3'"),
+        ("# sfg d=3 failed=\n0\t1\tNaN\n", "bad edge '0\\t1\\tNaN'"),
+        ("# sfg d=3 failed=\n0\t1\t0.5 \n", "bad edge '0\\t1\\t0.5 '"),
+        ("# sfg d=3 failed=\n0\t1\t0.5\n\n", "line 3: expected 3 tab-separated fields"),
     ],
     ids=[
         "index-out-of-range", "self-loop", "duplicate-edge", "failed-id", "nan-weight",
         "header-space-in-failed", "header-repeated-d", "header-foreign", "header-no-failed",
         "header-trailing-comma", "header-trailing-space", "header-missing", "empty-file",
+        "no-nodes", "inf-weight", "edge-underscore-sign-space", "edge-leading-space",
+        "edge-plus-sign", "edge-leading-zero", "edge-trailing-zero", "edge-exponent",
+        "edge-capital-nan", "edge-trailing-space", "edge-blank-line",
     ],
 )
 def test_lcs_rejects_malformed_graph_file(tmp_path, capsys, text, problem):

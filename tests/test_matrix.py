@@ -14,7 +14,6 @@ from sfgraph import (
     DataError,
     DimensionError,
     FeatureMatrix,
-    ParameterError,
     ParseError,
     load_csv,
     load_labels,
@@ -58,8 +57,8 @@ def test_subset_keeps_order_and_names():
 def test_load_csv_without_header(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-    m, labels = load_csv(path)
-    assert labels is None
+    m = load_csv(path)
+    assert isinstance(m, FeatureMatrix)
     assert m.feature_names is None
     np.testing.assert_array_equal(m.values, [[1, 2, 3], [4, 5, 6]])
 
@@ -67,7 +66,7 @@ def test_load_csv_without_header(tmp_path):
 def test_load_csv_detects_header_row(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text("x,y,z\n1,2,3\n4,5,6\n")
-    m, _ = load_csv(path)
+    m = load_csv(path)
     assert m.feature_names == ("x", "y", "z")
     assert m.n_samples == 2
 
@@ -107,44 +106,6 @@ def test_load_csv_numbers_rows_by_file_line(tmp_path, text, error, where):
     with pytest.raises(error) as err:
         load_csv(path)
     assert where in str(err.value)
-
-
-def test_load_csv_label_column_by_name(tmp_path):
-    path = tmp_path / "labeled.csv"
-    path.write_text("f0,f1,class\n0.5,1.5,0\n2.5,3.5,1\n")
-    m, labels = load_csv(path, label_column="class")
-    assert m.feature_names == ("f0", "f1")
-    np.testing.assert_array_equal(labels, [0, 1])
-    np.testing.assert_array_equal(m.values, [[0.5, 1.5], [2.5, 3.5]])
-
-
-def test_load_csv_label_column_by_negative_index(tmp_path):
-    path = tmp_path / "tail.csv"
-    path.write_text("0.5,1.5,0\n2.5,3.5,1\n")
-    m, labels = load_csv(path, label_column=-1)
-    np.testing.assert_array_equal(labels, [0, 1])
-    assert m.n_features == 2
-
-
-def test_load_csv_rejects_fractional_labels(tmp_path):
-    path = tmp_path / "frac.csv"
-    path.write_text("1,2,0.5\n3,4,1.0\n")
-    with pytest.raises(ParseError):
-        load_csv(path, label_column=2)
-
-
-def test_load_csv_unknown_label_name(tmp_path):
-    path = tmp_path / "named.csv"
-    path.write_text("x,y\n1,2\n3,4\n")
-    with pytest.raises(ParameterError):
-        load_csv(path, label_column="missing")
-
-
-def test_load_csv_label_name_needs_header(tmp_path):
-    path = tmp_path / "plain.csv"
-    path.write_text("1,2\n3,4\n")
-    with pytest.raises(ParameterError):
-        load_csv(path, label_column="x")
 
 
 def test_load_csv_minimum_shape(tmp_path):
@@ -206,7 +167,7 @@ def test_load_csv_keeps_the_csv_field_size_limit(tmp_path):
             load_csv(path)
     finally:
         csv.field_size_limit(default)
-    np.testing.assert_array_equal(load_csv(path)[0].values, [[1, 2], [3, 4]])
+    np.testing.assert_array_equal(load_csv(path).values, [[1, 2], [3, 4]])
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):
@@ -214,7 +175,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     original = FeatureMatrix(rng.normal(size=(5, 4)), feature_names=list("wxyz"))
     path = tmp_path / "round.csv"
     save_csv(path, original)
-    loaded, _ = load_csv(path)
+    loaded = load_csv(path)
     assert loaded.feature_names == original.feature_names
     np.testing.assert_array_equal(loaded.values, original.values)
 

@@ -15,7 +15,6 @@ from sfgraph import (
     DataError,
     DimensionError,
     FeatureMatrix,
-    ParameterError,
     ParseError,
     SfgraphError,
     load_csv,
@@ -64,20 +63,13 @@ _table = st.integers(1, 4).flatmap(
 
 
 @SETTINGS
-@given(
-    text=_table,
-    label_column=st.one_of(st.none(), st.integers(-4, 4), _junk),
-)
-def test_load_csv_returns_a_matrix_or_raises_sfgraph_error(scratch, text, label_column):
-    result = _read(load_csv, scratch, text, label_column)
-    if result is not None:
-        matrix, labels = result
+@given(text=_table)
+def test_load_csv_returns_a_matrix_or_raises_sfgraph_error(scratch, text):
+    matrix = _read(load_csv, scratch, text)
+    if matrix is not None:
         assert isinstance(matrix, FeatureMatrix)
         assert matrix.n_samples >= 2 and matrix.n_features >= 2
         assert np.all(np.isfinite(matrix.values))
-        assert (labels is None) == (label_column is None)
-        if labels is not None:
-            assert labels.shape == (matrix.n_samples,)
 
 
 @SETTINGS
@@ -131,7 +123,7 @@ def _reference_parse_cell(cell):
         return None
 
 
-def _reference_load_csv(path, label_column=None):
+def _reference_load_csv(path):
     """``load_csv`` as a cell-by-cell loop: each cell is stripped, parsed
     with ``float`` and stored on its own, and the first fault stops it."""
     with open(path, newline="") as fh:
@@ -180,44 +172,12 @@ def _reference_load_csv(path, label_column=None):
             f"{data_rows[r][c]!r}"
         )
 
-    labels = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise ParameterError(
-                    f"label column {label_column!r} given but file has no header row"
-                )
-            try:
-                col = header.index(label_column)
-            except ValueError:
-                raise ParameterError(
-                    f"label column {label_column!r} not in header {header}"
-                ) from None
-        else:
-            col = int(label_column)
-            if col < 0:
-                col += width
-            if not 0 <= col < width:
-                raise ParameterError(
-                    f"label column index {label_column} out of range for {width} columns"
-                )
-        raw = parsed[:, col]
-        if not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)):
-            raise ParseError(
-                f"{path}: label column holds values that are not 64-bit integers"
-            )
-        labels = raw.astype(np.int64)
-        keep = [j for j in range(width) if j != col]
-        parsed = parsed[:, keep]
-        if header is not None:
-            header = [header[j] for j in keep]
-
     if parsed.shape[0] < 2 or parsed.shape[1] < 2:
         raise DimensionError(
             f"{path}: need at least 2 samples and 2 features, "
             f"got {parsed.shape[0]}x{parsed.shape[1]}"
         )
-    return FeatureMatrix(parsed, tuple(header) if header is not None else None), labels
+    return FeatureMatrix(parsed, tuple(header) if header is not None else None)
 
 
 def _encodable(text):
@@ -279,43 +239,33 @@ _oracle_table = st.one_of(
 )
 
 
-def _outcome(reader, path, label_column):
+def _outcome(reader, path):
     try:
-        matrix, labels = reader(path, label_column)
+        matrix = reader(path)
     except SfgraphError as exc:
         return type(exc), str(exc)
-    return (
-        matrix.values.shape,
-        matrix.values.tobytes(),
-        matrix.feature_names,
-        None if labels is None else labels.tobytes(),
-    )
+    return matrix.values.shape, matrix.values.tobytes(), matrix.feature_names
 
 
 @SETTINGS
-@given(
-    text=_oracle_table,
-    label_column=st.one_of(st.none(), st.integers(-4, 4), _junk),
-)
-@example(text="\x1c1.5,2\n3,4\n", label_column=None)
-@example(text="a,b\n1,2\n3,x,5\n6,y\n", label_column=None)
-@example(text='1,"0x10"\n2,3\n4\n5,z\n', label_column=0)
-@example(text="1,2\n \n3,4\n", label_column=None)
-@example(text="1,2\r\n\t\r\n3,4\r\n", label_column=None)
-@example(text="1\n \n2\n", label_column=None)
-@example(text='"a\rb",c\r1,2\r3,4\r', label_column=None)
-@example(text='"x,\r\ny",z\r\n1,2\r\n\r3,4\r\n', label_column="z")
-@example(text="1,2\r3,4\r\r5,6\n", label_column=None)
-@example(text="1,2,\n3,4,\n", label_column=None)
-@example(text="1,\x0b2\n3\x0c,4\n\x1e5,6\n", label_column=None)
-@example(text="1,2\x00\n3,4\n", label_column=None)
-@example(text='"a","b"\r\n', label_column=None)
-@example(text='"a","b"\r\n\r\n\r', label_column=None)
-def test_load_csv_matches_the_per_cell_reference(scratch, text, label_column):
+@given(text=_oracle_table)
+@example(text="\x1c1.5,2\n3,4\n")
+@example(text="a,b\n1,2\n3,x,5\n6,y\n")
+@example(text='1,"0x10"\n2,3\n4\n5,z\n')
+@example(text="1,2\n \n3,4\n")
+@example(text="1,2\r\n\t\r\n3,4\r\n")
+@example(text="1\n \n2\n")
+@example(text='"a\rb",c\r1,2\r3,4\r')
+@example(text='"x,\r\ny",z\r\n1,2\r\n\r3,4\r\n')
+@example(text="1,2\r3,4\r\r5,6\n")
+@example(text="1,2,\n3,4,\n")
+@example(text="1,\x0b2\n3\x0c,4\n\x1e5,6\n")
+@example(text="1,2\x00\n3,4\n")
+@example(text='"a","b"\r\n')
+@example(text='"a","b"\r\n\r\n\r')
+def test_load_csv_matches_the_per_cell_reference(scratch, text):
     scratch.write_text(text)
-    assert _outcome(load_csv, scratch, label_column) == _outcome(
-        _reference_load_csv, scratch, label_column
-    )
+    assert _outcome(load_csv, scratch) == _outcome(_reference_load_csv, scratch)
 
 
 def _reference_save_csv(path, matrix):
