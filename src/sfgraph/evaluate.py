@@ -415,8 +415,9 @@ def mcfs_select(
     columns; the top ``m`` scores win, ties resolved toward the lower feature
     index.  The returned coefficients are those of the normalized
     regressions, so ``scores`` equals the column-wise max of
-    ``|coefficients|`` exactly.  The regressions share one cache of Gram
-    rows, so an atom selected for several columns costs one product.
+    ``|coefficients|`` exactly.  The regressions share one Gram matrix of
+    the normalized features, formed whole by one product: d^2 n work and
+    d^2 float64 values, 800 MB at d = 10^4.
     """
     d = features.n_features
     if not 1 <= m <= d:

@@ -252,19 +252,24 @@ def load_csv(path) -> FeatureMatrix:
 
 
 def load_labels(path) -> np.ndarray:
-    """Load class labels from a text file with one integer per line."""
+    """Load class labels from a text file with one int64 per line, each line
+    as ``str(int(text))`` renders it; blank lines are skipped."""
     labels: list[int] = []
     with open(path) as fh:
         for line_no, line in enumerate(_text_lines(fh, path), start=1):
-            text = line.strip()
-            if not text:
+            text = line.rstrip("\n")
+            if not text.strip():
                 continue
             try:
-                labels.append(int(np.int64(text)))
-            except (ValueError, OverflowError):
+                label = int(text)
+                canonical = str(label) == text and -(2**63) <= label < 2**63
+            except ValueError:
+                canonical = False
+            if not canonical:
                 raise ParseError(
                     f"{path}: line {line_no} is not a 64-bit integer: {text!r}"
-                ) from None
+                )
+            labels.append(label)
     if not labels:
         raise ParseError(f"{path}: no labels found")
     return np.asarray(labels, dtype=np.int64)

@@ -31,9 +31,9 @@ keeps ``P[m] = Q[:, m]^T cols``, ``z = Q^T target`` and the correlations
     corr -= z[k] P[k],   r -= z[k]^2,
 
 so a step costs O(k p) for k atoms and p columns and touches no vector of
-sample length.  Gram rows are computed on first use and cached
-(``GramRows``); fits over one dictionary, such as the leave-one-out fits of
-a graph build or the regressions of one MCFS call, share the cache.
+sample length.  G is formed whole by one ``cols.T @ cols`` (``GramRows``),
+p^2 n work and p^2 float64 values, even for a lone ``omp()`` fit; the fits
+of a graph build or of one MCFS call share it.
 Twins, columns equal up to sign, tie in every correlation; the tie goes to
 the lowest-indexed usable twin by rule, not by the rounding of a product.
 
@@ -133,18 +133,11 @@ class SparseRepresentation:
 
 
 class GramRows:
-    """Rows ``G[j] = cols[:, j] @ cols`` of a dictionary's Gram matrix, each
-    computed when a fit first selects atom j and kept in one p x p array, so
-    a dictionary pays only for the atoms its fits use.  The array is p^2
-    float64 values, 8 MB at p = 1024 and 800 MB at p = 10^4, allocated up
-    front; ``build_sfg`` starts every live column's fit from its row, so a
-    graph build computes and touches all of it.  A failed allocation raises
-    ``MemoryError``, which the command line reports as exit 2, "not enough
-    memory".
-
-    Threads may share an instance: a row is computed aside and copied in
-    before it is marked known, so a thread that computes it again only
-    rewrites the same values.
+    """Rows ``G[j]`` of a dictionary's Gram matrix, all formed by one product
+    ``cols.T @ cols`` when the instance is made: p^2 n work and p^2 float64
+    values, 8 MB at p = 1024 and 800 MB at p = 10^4.  A failed allocation
+    raises ``MemoryError``, which the command line reports as exit 2, "not
+    enough memory".  Fits over one dictionary share an instance.
 
     Twins, columns equal up to sign, tie in every correlation, and a tie goes
     to the lower index.  But a BLAS kernel rounds the columns at the end of a
@@ -154,9 +147,7 @@ class GramRows:
 
     def __init__(self, cols: np.ndarray) -> None:
         self.cols = cols
-        p = cols.shape[1]
-        self.rows = np.empty((p, p))
-        self.known = np.zeros(p, dtype=bool)
+        self.rows = cols.T @ cols
         # Twins share |first entry|, so a column has none below it unless it
         # shares that value with a lower column (a NaN shares it with none).
         self.key = np.abs(cols[0])
@@ -167,11 +158,6 @@ class GramRows:
         self.twins: dict[int, np.ndarray] = {}  # column -> its twins, on first need
 
     def __getitem__(self, j: int) -> np.ndarray:
-        if not self.known[j]:
-            # Not matmul(..., out=): BLAS accumulates in its output, and
-            # another thread may already read this row.
-            self.rows[j] = self.cols[:, j] @ self.cols
-            self.known[j] = True
         return self.rows[j]
 
     def lowest_twin(self, j: int, banned: np.ndarray) -> int:

@@ -192,12 +192,26 @@ def test_save_csv_writes_shortest_round_trip_floats(tmp_path):
 
 def test_load_labels(tmp_path):
     path = tmp_path / "labels.txt"
-    path.write_text("0\n1\n\n2\n")
-    np.testing.assert_array_equal(load_labels(path), [0, 1, 2])
+    path.write_text("0\n1\n\n \n2\n-9223372036854775808\n9223372036854775807\n")
+    np.testing.assert_array_equal(load_labels(path), [0, 1, 2, -(2**63), 2**63 - 1])
     path.write_text("0\nnope\n")
     with pytest.raises(ParseError) as err:
         load_labels(path)
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "+1", " 1", "1 ", "\t1", "01", "-0", "\u0661", "9223372036854775808", "None"],
+)
+def test_load_labels_refuses_a_label_that_is_not_canonical(tmp_path, text):
+    # int() reads most of these, which would merge two label texts into one
+    # class ("1_0" with "10", "+1" and U+0661 with "1").  A locale that cannot
+    # encode U+0661 writes "?", refused as well.
+    path = tmp_path / "labels.txt"
+    path.write_bytes(f"0\n{text}\n".encode(locale.getpreferredencoding(False), "replace"))
+    with pytest.raises(ParseError, match=r": line 2 is not a 64-bit integer: "):
+        load_labels(path)
 
 
 def test_normalize_features_unit_columns():

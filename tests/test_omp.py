@@ -6,9 +6,6 @@ whole fit against a reference pursuit that re-solves the normal equations
 through a Cholesky factor on every iteration.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -29,7 +26,6 @@ from sfgraph.omp import (
     STOP_CONVERGED,
     STOP_NO_ATOM,
     STOP_SUPPORT_LIMIT,
-    GramRows,
     _greedy_fit,
 )
 
@@ -478,31 +474,3 @@ def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
             assert support == [twins[i]] and reason == STOP_CONVERGED, where
             assert abs(abs(coef[0]) - 1.0) <= 1e-12, where
 
-
-def test_threads_sharing_gram_rows_read_only_finished_rows():
-    # More threads than cores walk the same rows in step, so several compute
-    # one row at once while others already read it.  BLAS accumulates in its
-    # output, so a row it wrote in place would be read half-summed.
-    rng = np.random.default_rng(9)
-    cols = rng.normal(size=(40, 1500))
-    want = [cols[:, j] @ cols for j in range(cols.shape[1])]
-    gram = GramRows(cols)
-    bad = []
-    start = threading.Barrier(4)
-
-    def walk():
-        start.wait(timeout=10)
-        bad.extend(j for j in range(cols.shape[1]) if not np.array_equal(gram[j], want[j]))
-
-    threads = [threading.Thread(target=walk) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert bad == []

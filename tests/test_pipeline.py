@@ -506,3 +506,25 @@ def test_rendered_reports_are_deterministic(tmp_path):
         a = (tmp_path / "one" / csv_name).read_bytes()
         b = (tmp_path / "two" / csv_name).read_bytes()
         assert a == b, csv_name
+
+
+def test_a_threaded_graph_build_renders_the_same_report(tmp_path):
+    matrix, labels, _ = generate(
+        SynthSpec(n_samples=60, base_features=20, clusters=3, separation=8.0,
+                  duplicate_pairs=10, mixture_features=6, noise_features=4, seed=3)
+    )
+    reports = []
+    for n_jobs in (1, 2):
+        out = tmp_path / f"jobs{n_jobs}"
+        config = _config(thetas=(0.7, 0.3), mcfs_counts=(3,), n_jobs=n_jobs)
+        render_report(run_pipeline(matrix, labels, config), out)
+        with open(out / "report.json") as fh:
+            data = json.load(fh)
+        assert "n_jobs" not in data["config"]
+        data.pop("timings_ms")
+        reports.append(json.dumps(data, sort_keys=True))
+    assert reports[0] == reports[1]
+    for csv_name in ("sweep.csv", "angles.csv", "mcfs_grid.csv"):
+        a = (tmp_path / "jobs1" / csv_name).read_bytes()
+        b = (tmp_path / "jobs2" / csv_name).read_bytes()
+        assert a == b, csv_name

@@ -5,6 +5,7 @@ reference versions, value for value and byte for byte."""
 
 import csv
 import locale
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ _token = st.one_of(_number, _junk)
 
 def _lines(line):
     return st.lists(line, max_size=8).map(lambda rows: "\n".join(rows) + "\n")
+
+
+def _encodable(text):
+    try:
+        text.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +83,31 @@ def test_load_csv_returns_a_matrix_or_raises_sfgraph_error(scratch, text):
 
 @SETTINGS
 @given(text=_lines(_token))
+@example(text="1_0\n")
+@example(text="+1\n")
+@example(text=" 1\n")
+@example(text="01\n")
+@example(text="-0\n")
+@example(text="\u0661\n")
+@example(text="9223372036854775808\n")
+@example(text="1\r\n \n-9223372036854775808\r")
 def test_load_labels_returns_integers_or_raises_sfgraph_error(scratch, text):
+    if not _encodable(text):
+        return  # U+0661 has no byte form in this locale's encoding
     labels = _read(load_labels, scratch, text)
-    if labels is not None:
-        assert labels.dtype == np.int64 and labels.size >= 1
+    # Each non-blank line, split as universal newlines split it, is one
+    # label's canonical rendering, or the file is refused.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [line for line in lines if line.strip()]
+    canonical = all(
+        re.fullmatch(r"0|-?[1-9][0-9]*", line) and -(2**63) <= int(line) < 2**63
+        for line in lines
+    )
+    if labels is None:
+        assert not lines or not canonical
+    else:
+        assert labels.dtype == np.int64
+        assert [str(label) for label in labels.tolist()] == lines
 
 
 _index = st.one_of(st.integers(-2, 7).map(str), _junk)
@@ -178,14 +208,6 @@ def _reference_load_csv(path):
             f"got {parsed.shape[0]}x{parsed.shape[1]}"
         )
     return FeatureMatrix(parsed, tuple(header) if header is not None else None)
-
-
-def _encodable(text):
-    try:
-        text.encode(locale.getpreferredencoding(False))
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 # Numbers whose parse hinges on the strip or on float's own grammar: padding,
