@@ -43,7 +43,7 @@ from .matrix import (
     pairwise_euclidean,
     save_csv,
 )
-from .omp import OmpConfig, SparseRepresentation, omp
+from .omp import SparseRepresentation, omp
 from .pipeline import PipelineConfig, render_report, run_pipeline
 from .sfg import (
     SparseFeatureGraph,
@@ -75,7 +75,6 @@ __all__ = [
     "normalize_features",
     "pairwise_euclidean",
     # solver
-    "OmpConfig",
     "SparseRepresentation",
     "omp",
     # graph

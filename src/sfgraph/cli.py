@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DimensionError, SfgraphError
 from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
 from .matrix import load_csv, load_labels, normalize_features, save_csv
-from .omp import OmpConfig
 from .pipeline import (
     DEFAULT_THETAS,
     PipelineConfig,
@@ -137,7 +136,7 @@ def cmd_synth(args) -> int:
 def cmd_sfg(args) -> int:
     features = load_csv(args.input)
     normalized, _ = normalize_features(features)
-    graph = build_sfg(normalized, OmpConfig(epsilon=args.epsilon))
+    graph = build_sfg(normalized, args.epsilon)
     filtered = filter_failed(graph, normalized, np.deg2rad(args.max_angle_deg))
     if args.angles:
         write_angles_csv(args.angles, **angle_histogram(filtered.angles))

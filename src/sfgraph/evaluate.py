@@ -439,8 +439,9 @@ def mcfs_select(
         tn = np.linalg.norm(t)
         if tn == 0.0:
             continue
+        t = t / tn
         support, coef, _, _ = _greedy_fit(
-            normalized.values, t / tn, MCFS_EPSILON, m, pre_banned=zero_mask, gram=gram
+            gram, t, t @ normalized.values, zero_mask.copy(), MCFS_EPSILON, m
         )
         coefficients[col, support] = coef
     scores = np.abs(coefficients).max(axis=0, initial=0.0)

@@ -13,12 +13,14 @@ dictionary atoms get tiny supports, while unstructured targets keep only as
 many atoms as actually reduce the error.  A fit whose squared residual falls
 to the square of the correlation floor is exact and stops as converged too.
 
-By default a fit stops after at most half as many atoms as the dictionary
-has rows, ⌊n/2⌋ (at least 1).  With fewer samples than atoms any target is an
-exact combination of about n atoms, so a fit that needs more than n/2 of them
-describes the span, not the target.  Stopped there, such a fit keeps a
-residual, and its reconstruction angle stays large enough for an angle
-filter to reject it; the cap also bounds the cost of the longest fits.
+A fit of ``omp()`` or of a graph row stops after at most half as many atoms
+as the dictionary has rows, ⌊n/2⌋ (at least 1); this cap is fixed, not a
+setting, and only ``mcfs_select`` passes its own, m atoms.  With fewer
+samples than atoms any target is an exact combination of about n atoms, so a
+fit that needs more than n/2 of them describes the span, not the target.
+Stopped there, such a fit keeps a residual, and its reconstruction angle
+stays large enough for an angle filter to reject it; the cap also bounds the
+cost of the longest fits.
 
 The pursuit is carried in coefficient space (Batch-OMP in QR form): with
 ``cols[:, support] = Q R`` for an orthonormal Q that is never formed, it
@@ -57,7 +59,11 @@ from scipy.linalg.lapack import dtrtrs
 from .errors import ParameterError
 from .matrix import FeatureMatrix
 
-__all__ = ["OmpConfig", "SparseRepresentation", "omp"]
+__all__ = ["SparseRepresentation", "omp"]
+
+# Default stopping threshold on the change of the squared residual norm
+# between consecutive iterations.
+EPSILON = 1e-6
 
 # Columns and targets are required to be unit-norm within this tolerance.
 UNIT_NORM_TOL = 1e-6
@@ -81,30 +87,15 @@ STOP_NO_ATOM = "no_usable_atom"  # no remaining atom can make progress
 STOP_REASONS = (STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM)
 
 
-@dataclass
-class OmpConfig:
-    """Solver knobs.
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a stopping threshold that is not positive (NaN never is)."""
+    if not epsilon > 0.0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
 
-    epsilon : threshold on the change of the squared residual norm between
-        consecutive iterations; must be positive.
-    max_support : hard cap on the number of selected atoms.  None (the
-        default) caps at ⌊n/2⌋ atoms (at least 1) for a dictionary of n
-        rows: when n is below the number of atoms, any target is an exact
-        combination of about n of them, and a fit that long carries no
-        information about the target.  The cap never exceeds the number of
-        usable atoms.
-    """
 
-    epsilon: float = 1e-6
-    max_support: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_support is not None and self.max_support < 1:
-            raise ParameterError(
-                f"max_support must be at least 1, got {self.max_support}"
-            )
+def _support_cap(n_samples: int) -> int:
+    """The support cap of ``omp()`` and of graph fits: ⌊n/2⌋ atoms, at least 1."""
+    return max(1, n_samples // 2)
 
 
 @dataclass
@@ -157,9 +148,6 @@ class GramRows:
         self.lowest_with_key = first[group.reshape(-1)]
         self.twins: dict[int, np.ndarray] = {}  # column -> its twins, on first need
 
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.rows[j]
-
     def lowest_twin(self, j: int, banned: np.ndarray) -> int:
         """The lowest-indexed unbanned twin of column j, or j itself."""
         if self.lowest_with_key[j] == j:
@@ -194,36 +182,24 @@ def _refined_fit(
 
 
 def _greedy_fit(
-    cols: np.ndarray,
+    gram: GramRows,
     target: np.ndarray,
+    corr: np.ndarray,
+    banned: np.ndarray,
     epsilon: float,
-    max_support: int | None = None,
-    exclude: int | None = None,
-    pre_banned: np.ndarray | None = None,
-    gram: GramRows | None = None,
-    corr: np.ndarray | None = None,
+    cap: int,
 ) -> tuple[list[int], np.ndarray, list[float], str]:
-    """Core pursuit loop over the columns of ``cols``.
+    """Core pursuit loop over the columns of ``gram.cols``.
 
-    ``exclude`` masks one column (leave-one-out fits reuse the full matrix
-    instead of copying it minus a column) and ``pre_banned`` marks columns
-    that must never be selected, e.g. zero-norm features.  ``max_support``
-    None caps the support at ``max(1, n // 2)`` atoms (see ``OmpConfig``).
-    ``gram`` holds the Gram rows of ``cols`` that fits over the same
-    dictionary share; ``corr`` is ``target @ cols`` when the caller has it,
-    and is overwritten.
+    ``corr`` is ``target @ gram.cols`` and ``banned`` marks the columns that
+    must never be selected (the fitted column of a leave-one-out fit,
+    zero-norm features); the fit overwrites both, so each caller passes
+    arrays it owns.  The support holds at most ``cap`` atoms, and never more
+    than the unbanned columns.
     """
+    cols = gram.cols
     n, p = cols.shape
-    banned = np.zeros(p, dtype=bool) if pre_banned is None else pre_banned.copy()
-    if exclude is not None:
-        banned[exclude] = True
-    if max_support is None:
-        max_support = max(1, n // 2)
-    cap = min(max_support, p - int(banned.sum()))
-    if gram is None:
-        gram = GramRows(cols)
-    if corr is None:
-        corr = target @ cols
+    cap = min(cap, p - int(banned.sum()))
 
     support: list[int] = []
     r = float(target @ target)
@@ -245,7 +221,7 @@ def _greedy_fit(
             break
         j = gram.lowest_twin(j, banned)
         banned[j] = True
-        g = gram[j]
+        g = gram.rows[j]
         h = P[:k, j]
         v2 = float(g[j] - h @ h)
         if v2 <= DEPENDENCE_FLOOR or k == n:
@@ -293,8 +269,10 @@ def _not_unit_norm(norms):
     return ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
 
 
-def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresentation:
+def omp(dictionary, target, epsilon: float = EPSILON) -> SparseRepresentation:
     """Fit ``target`` as a sparse combination of dictionary columns.
+
+    The fit stops after at most ⌊n/2⌋ atoms (at least 1) for n rows.
 
     Parameters
     ----------
@@ -302,23 +280,26 @@ def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresenta
         Atoms as columns, each unit-norm within 1e-6.
     target : ndarray of shape (n,)
         Unit-norm vector to approximate.
-    config : OmpConfig, optional
-        Stopping parameters; defaults to ``OmpConfig()``.
+    epsilon : float, optional
+        Positive threshold on the change of the squared residual norm
+        between consecutive iterations.
 
     Returns
     -------
     SparseRepresentation
     """
+    _check_epsilon(epsilon)
     cols = dictionary.values if isinstance(dictionary, FeatureMatrix) else dictionary
     cols = np.asarray(cols, dtype=np.float64)
     if cols.ndim != 2:
         raise ParameterError(f"dictionary must be 2-D, got {cols.ndim}-D")
+    if cols.shape[1] == 0:
+        raise ParameterError("dictionary has no columns")
     t = np.asarray(target, dtype=np.float64).reshape(-1)
     if t.shape[0] != cols.shape[0]:
         raise ParameterError(
             f"target length {t.shape[0]} does not match dictionary rows {cols.shape[0]}"
         )
-    cfg = config if config is not None else OmpConfig()
     norms = np.linalg.norm(cols, axis=0)
     bad = np.flatnonzero(_not_unit_norm(norms))
     if bad.size:
@@ -333,6 +314,9 @@ def omp(dictionary, target, config: OmpConfig | None = None) -> SparseRepresenta
             f"target is not unit-norm (norm {tnorm:.6g}); normalize it first"
         )
 
-    support, coef, trace, reason = _greedy_fit(cols, t, cfg.epsilon, cfg.max_support)
+    banned = np.zeros(cols.shape[1], dtype=bool)
+    support, coef, trace, reason = _greedy_fit(
+        GramRows(cols), t, t @ cols, banned, epsilon, _support_cap(cols.shape[0])
+    )
     return SparseRepresentation(support, coef, trace, reason)
 

@@ -35,7 +35,7 @@ from .evaluate import (
 )
 from .lcs import find_lcs, reduce_matrix, select_representatives
 from .matrix import FeatureMatrix, normalize_features
-from .omp import STOP_REASONS, STOP_SUPPORT_LIMIT, OmpConfig
+from .omp import EPSILON, STOP_REASONS, STOP_SUPPORT_LIMIT, _check_epsilon
 from .sfg import SparseFeatureGraph, angle_histogram, build_sfg, filter_failed
 
 __all__ = ["PipelineConfig", "run_pipeline", "render_report"]
@@ -53,7 +53,7 @@ class PipelineConfig:
     """All knobs of one pipeline run."""
 
     k_clusters: int
-    epsilon: float = OmpConfig.epsilon
+    epsilon: float = EPSILON
     max_angle_deg: float = 15.0
     thetas: tuple[float, ...] = DEFAULT_THETAS
     mcfs_counts: tuple[int, ...] = ()
@@ -64,8 +64,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.k_clusters < 1:
             raise ParameterError(f"k_clusters must be at least 1, got {self.k_clusters}")
-        if not self.epsilon > 0.0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.max_angle_deg <= 90.0:
             raise ParameterError(
                 f"max_angle_deg must lie in (0, 90], got {self.max_angle_deg}"
@@ -213,9 +212,7 @@ def run_pipeline(
         normalized, zero_columns = normalize_features(features)
 
     with _stage("build_sfg", timings):
-        graph = build_sfg(
-            normalized, OmpConfig(epsilon=config.epsilon), n_jobs=config.n_jobs
-        )
+        graph = build_sfg(normalized, config.epsilon, config.n_jobs)
 
     with _stage("filter", timings):
         filtered = filter_failed(graph, normalized, np.deg2rad(config.max_angle_deg))

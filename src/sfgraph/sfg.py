@@ -29,7 +29,14 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ParseError
 from .matrix import FeatureMatrix, _text_lines
-from .omp import GramRows, OmpConfig, _greedy_fit, _not_unit_norm
+from .omp import (
+    EPSILON,
+    GramRows,
+    _check_epsilon,
+    _greedy_fit,
+    _not_unit_norm,
+    _support_cap,
+)
 
 __all__ = [
     "SparseFeatureGraph",
@@ -96,18 +103,18 @@ class SparseFeatureGraph:
         return float(np.max(np.abs(self.weights.data))) if self.weights.nnz else 0.0
 
 
-def _fit_row(
-    values: np.ndarray, i: int, cfg: OmpConfig, zero_mask: np.ndarray, gram: GramRows
-):
+def _fit_row(gram: GramRows, i: int, zero_mask: np.ndarray, epsilon: float):
+    banned = zero_mask.copy()
+    banned[i] = True
+    cap = _support_cap(gram.cols.shape[0])
     support, coef, trace, reason = _greedy_fit(
-        values, values[:, i], cfg.epsilon, cfg.max_support, exclude=i,
-        pre_banned=zero_mask, gram=gram, corr=gram[i].copy(),
+        gram, gram.cols[:, i], gram.rows[i].copy(), banned, epsilon, cap
     )
     return support, coef, reason, trace[-1]
 
 
 def build_sfg(
-    features: FeatureMatrix, config: OmpConfig | None = None, n_jobs: int = 1
+    features: FeatureMatrix, epsilon: float = EPSILON, n_jobs: int = 1
 ) -> SparseFeatureGraph:
     """Build the sparse feature graph of a unit-norm feature matrix.
 
@@ -119,8 +126,9 @@ def build_sfg(
     failed here: it has no defined reconstruction angle, which is exactly what
     the downstream angle filter rejects.
 
-    Each fit uses the solver's default support cap unless ``config`` sets
-    one: ⌊n/2⌋ atoms for n samples.  With n < d any column is an exact
+    ``epsilon`` is the solver's positive stopping threshold on the change of
+    the squared residual, and each fit stops after at most ⌊n/2⌋ atoms for
+    n samples, the cap of ``omp()``.  With n < d any column is an exact
     combination of about n others, so an uncapped fit of a column the others
     cannot really represent would reach angle 0 and pass the angle filter.
     Capped, it keeps a residual and its angle shows it; the longest and
@@ -135,7 +143,7 @@ def build_sfg(
     thread pool that only reads that matrix; each task fits only its own
     column, so the result is identical for any job count.
     """
-    cfg = config if config is not None else OmpConfig()
+    _check_epsilon(epsilon)
     values = features.values
     d = features.n_features
     if d < 2:
@@ -155,9 +163,9 @@ def build_sfg(
     gram = GramRows(values)
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(lambda i: _fit_row(values, i, cfg, zero_mask, gram), live))
+            fits = list(pool.map(lambda i: _fit_row(gram, i, zero_mask, epsilon), live))
     else:
-        fits = [_fit_row(values, i, cfg, zero_mask, gram) for i in live]
+        fits = [_fit_row(gram, i, zero_mask, epsilon) for i in live]
 
     # The empty leading arrays keep concatenate defined when no column is live.
     rows = np.repeat(live, [len(s) for s, _, _, _ in fits])

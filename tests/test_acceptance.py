@@ -19,7 +19,6 @@ import pytest
 import scipy.sparse as sp
 
 from sfgraph import (
-    OmpConfig,
     PipelineConfig,
     SparseFeatureGraph,
     SynthSpec,
@@ -67,7 +66,7 @@ def test_a01_solver_recovers_planted_supports_and_ls_coefficients():
         planted = rng.choice(30, size=3, replace=False)
         target = dictionary[:, planted] @ rng.normal(size=3)
         target /= np.linalg.norm(target)
-        rep = omp(dictionary, target, OmpConfig(epsilon=1e-8))
+        rep = omp(dictionary, target, epsilon=1e-8)
         if set(rep.support.tolist()) == {int(i) for i in planted}:
             recovered += 1
         # whatever support was chosen, the coefficients must be the exact
@@ -81,7 +80,7 @@ def test_a01_solver_recovers_planted_supports_and_ls_coefficients():
           f"least squares, {elapsed:.2f}s")
 
 
-def test_a02_solver_invariants_hold_across_random_instances():
+def test_a02_solver_invariants_hold_across_random_instances(capped_fit):
     reasons = Counter()
     for trial in range(1000):
         rng = np.random.default_rng([102, trial])
@@ -92,7 +91,7 @@ def test_a02_solver_invariants_hold_across_random_instances():
         target /= np.linalg.norm(target)
         epsilon = float(10.0 ** rng.uniform(-10.0, -3.0))
         cap = int(rng.integers(1, p + 1))
-        rep = omp(dictionary, target, OmpConfig(epsilon=epsilon, max_support=cap))
+        rep = capped_fit(dictionary, target, epsilon, cap)
         reasons[rep.stop_reason] += 1
 
         trace = rep.residual_norms

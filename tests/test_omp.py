@@ -6,14 +6,18 @@ whole fit against a reference pursuit that re-solves the normal equations
 through a Cholesky factor on every iteration.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import sfgraph
 from sfgraph import (
     FeatureMatrix,
-    OmpConfig,
     ParameterError,
+    PipelineConfig,
     SynthSpec,
     build_sfg,
     generate,
@@ -26,7 +30,6 @@ from sfgraph.omp import (
     STOP_CONVERGED,
     STOP_NO_ATOM,
     STOP_SUPPORT_LIMIT,
-    _greedy_fit,
 )
 
 
@@ -49,7 +52,7 @@ def _ls_oracle(cols, support, target):
 def test_exact_atom_match_selects_only_that_atom():
     cols = _orthonormal_dictionary(8, 5, seed=0)
     target = cols[:, 3].copy()
-    rep = omp(cols, target, OmpConfig(epsilon=1e-6))
+    rep = omp(cols, target, epsilon=1e-6)
     assert rep.support.tolist() == [3]
     np.testing.assert_allclose(rep.coefficients, [1.0], atol=1e-12)
     assert rep.residual_norms.shape == (2,)
@@ -65,16 +68,16 @@ def test_duplicate_column_fit_stops_converged_on_its_twin():
     rng = np.random.default_rng(5)
     cols = _random_unit_dictionary(12, 6, rng)
     cols[:, 4] = cols[:, 1]
-    support, _, trace, reason = _greedy_fit(cols, cols[:, 1], 1e-6, exclude=1)
-    assert support == [4]
-    assert len(trace) == 2 and trace[-1] <= CORRELATION_FLOOR**2
-    assert reason == STOP_CONVERGED
+    rep = omp(np.delete(cols, 1, axis=1), cols[:, 1])
+    assert rep.support.tolist() == [3]  # column 4, shifted left by the deletion
+    assert rep.residual_norms.size == 2 and rep.final_residual <= CORRELATION_FLOOR**2
+    assert rep.stop_reason == STOP_CONVERGED
 
 
 def test_two_atom_combination_recovers_both_weights():
     cols = _orthonormal_dictionary(10, 4, seed=1)
     target = 0.6 * cols[:, 0] + 0.8 * cols[:, 1]  # unit norm by construction
-    rep = omp(cols, target, OmpConfig(epsilon=1e-10))
+    rep = omp(cols, target, epsilon=1e-10)
     assert sorted(rep.support.tolist()) == [0, 1]
     # larger-coefficient atom is picked first
     assert rep.support.tolist() == [1, 0]
@@ -95,7 +98,7 @@ def test_planted_sparse_targets_are_recovered():
         weights = rng.normal(size=3)
         target = cols[:, planted] @ weights
         target /= np.linalg.norm(target)
-        rep = omp(cols, target, OmpConfig(epsilon=1e-8))
+        rep = omp(cols, target, epsilon=1e-8)
         if set(rep.support.tolist()) == set(planted.tolist()):
             hits += 1
             oracle = _ls_oracle(cols, rep.support, target)
@@ -111,7 +114,7 @@ def test_coefficients_match_least_squares_on_any_support():
         cols = _random_unit_dictionary(n, p, rng)
         target = rng.normal(size=n)
         target /= np.linalg.norm(target)
-        rep = omp(cols, target, OmpConfig(epsilon=1e-7))
+        rep = omp(cols, target, epsilon=1e-7)
         if rep.support.size == 0:
             continue
         oracle = _ls_oracle(cols, rep.support, target)
@@ -130,7 +133,7 @@ def test_coefficients_match_least_squares_on_ill_conditioned_dictionaries():
         cols /= np.linalg.norm(cols, axis=0)
         target = rng.normal(size=n)
         target /= np.linalg.norm(target)
-        rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+        rep = omp(cols, target, epsilon=1e-12)
         oracle = _ls_oracle(cols, rep.support, target)
         scale = max(1.0, float(np.max(np.abs(rep.coefficients))))
         np.testing.assert_allclose(rep.coefficients, oracle, rtol=0, atol=1e-8 * scale)
@@ -156,7 +159,7 @@ def test_residual_trace_is_monotone_and_orthogonal():
             assert float(overlap.max()) <= 1e-8
 
 
-def test_stopping_reason_matches_its_condition():
+def test_stopping_reason_matches_its_condition(capped_fit):
     rng = np.random.default_rng(77)
     seen = set()
     for trial in range(300):
@@ -167,7 +170,7 @@ def test_stopping_reason_matches_its_condition():
         cols = _random_unit_dictionary(n, p, rng)
         target = rng.normal(size=n)
         target /= np.linalg.norm(target)
-        rep = omp(cols, target, OmpConfig(epsilon=epsilon, max_support=cap))
+        rep = capped_fit(cols, target, epsilon, cap)
         seen.add(rep.stop_reason)
         trace = rep.residual_norms
         if rep.stop_reason == STOP_CONVERGED:
@@ -185,7 +188,7 @@ def test_stopping_reason_matches_its_condition():
     assert STOP_SUPPORT_LIMIT in seen
 
 
-def test_numerically_dependent_atom_is_banned_then_nothing_remains():
+def test_numerically_dependent_atom_is_banned_then_nothing_remains(capped_fit):
     # Dictionary: three orthonormal atoms plus one atom that is numerically
     # inside their span (off-span component 1e-7).  After the three clean
     # picks the dependent atom still has correlation above the solver's
@@ -198,16 +201,17 @@ def test_numerically_dependent_atom_is_banned_then_nothing_remains():
     cols = np.column_stack([e[:, 0], e[:, 1], e[:, 3], dep])
     target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12, max_support=cols.shape[1]))
+    rep = capped_fit(cols, target, 1e-12, cols.shape[1])
     assert rep.support.tolist() == [0, 1, 2]
     assert rep.stop_reason == STOP_NO_ATOM
     oracle = _ls_oracle(cols, rep.support, target)
     np.testing.assert_allclose(rep.coefficients, oracle, atol=1e-10)
-    args = (cols, target, 1e-12, cols.shape[1])
-    _assert_same_fit(_greedy_fit(*args), _cholesky_greedy_fit(*args), "dependent atom")
+    _assert_same_fit(
+        rep, _cholesky_greedy_fit(cols, target, 1e-12, cols.shape[1]), "dependent atom"
+    )
 
 
-def test_nearly_dependent_atom_above_the_floor_is_accepted():
+def test_nearly_dependent_atom_above_the_floor_is_accepted(capped_fit):
     # The same construction with an off-span component of 2e-6: its square,
     # 4e-12, clears the dependence floor, so the atom is accepted and the fit
     # absorbs the remaining e2 component through a large coefficient.
@@ -218,7 +222,7 @@ def test_nearly_dependent_atom_above_the_floor_is_accepted():
     cols = np.column_stack([e[:, 0], e[:, 1], e[:, 3], dep])
     target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12, max_support=cols.shape[1]))
+    rep = capped_fit(cols, target, 1e-12, cols.shape[1])
     assert rep.support.tolist() == [0, 1, 2, 3]
     assert rep.final_residual < 1e-12
     oracle = _ls_oracle(cols, rep.support, target)
@@ -226,7 +230,7 @@ def test_nearly_dependent_atom_above_the_floor_is_accepted():
     np.testing.assert_allclose(rep.coefficients, oracle, rtol=0, atol=1e-8 * scale)
 
 
-def test_dependent_atom_is_skipped_in_favor_of_next_best():
+def test_dependent_atom_is_skipped_in_favor_of_next_best(capped_fit):
     # Same span-degenerate atom, but now a weakly correlated clean atom also
     # remains: the dependent atom is the argmax, gets skipped, and the
     # next-best atom is accepted instead.
@@ -238,17 +242,17 @@ def test_dependent_atom_is_skipped_in_favor_of_next_best():
     target = 2.0 * e[:, 0] + e[:, 1] + 0.5 * e[:, 2] + 0.25 * e[:, 3]
     target = target + 1e-8 * e[:, 4]
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12, max_support=cols.shape[1]))
+    rep = capped_fit(cols, target, 1e-12, cols.shape[1])
     assert rep.support.tolist() == [0, 1, 2, 4]
     assert 3 not in rep.support
 
 
-def test_support_limit_caps_the_fit():
+def test_support_limit_caps_the_fit(capped_fit):
     rng = np.random.default_rng(8)
     cols = _random_unit_dictionary(20, 10, rng)
     target = rng.normal(size=20)
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-15, max_support=2))
+    rep = capped_fit(cols, target, 1e-15, 2)
     assert rep.support.size == 2
     assert rep.stop_reason == STOP_SUPPORT_LIMIT
 
@@ -260,7 +264,7 @@ def test_tiny_dictionaries_get_a_default_cap_of_one_atom(n):
     cols = _random_unit_dictionary(n, 5, rng)
     target = rng.normal(size=n)
     target /= np.linalg.norm(target)
-    rep = omp(cols, target, OmpConfig(epsilon=1e-12))
+    rep = omp(cols, target, epsilon=1e-12)
     assert rep.support.size == 1
     assert rep.stop_reason == STOP_SUPPORT_LIMIT
 
@@ -297,28 +301,50 @@ def test_shape_mismatch_is_rejected():
         omp(cols, np.ones(5) / np.sqrt(5.0))
 
 
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        OmpConfig(epsilon=0.0)
-    with pytest.raises(ParameterError):
-        OmpConfig(epsilon=-1e-6)
-    with pytest.raises(ParameterError):
-        OmpConfig(max_support=0)
+def test_empty_dictionary_is_rejected():
+    with pytest.raises(ParameterError, match="^dictionary has no columns$"):
+        omp(np.empty((3, 0)), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6, np.nan])
+def test_epsilon_is_refused_before_any_work(epsilon, monkeypatch):
+    def no_gram(cols):
+        raise AssertionError("a Gram matrix was formed")
+
+    monkeypatch.setattr("sfgraph.sfg.GramRows", no_gram)
+    cols = _orthonormal_dictionary(6, 3, seed=5)
+    with pytest.raises(ParameterError, match="^epsilon must be positive"):
+        omp(cols, cols[:, 0], epsilon=epsilon)
+    with pytest.raises(ParameterError, match="^epsilon must be positive"):
+        build_sfg(FeatureMatrix(cols), epsilon=epsilon)
+    with pytest.raises(ParameterError, match="^epsilon must be positive"):
+        PipelineConfig(k_clusters=2, epsilon=epsilon)
+
+
+def test_every_exported_name_exists():
+    modules = [sfgraph] + [
+        importlib.import_module(f"sfgraph.{info.name}")
+        for info in pkgutil.iter_modules(sfgraph.__path__)
+    ]
+    for module in modules:
+        names = getattr(module, "__all__", ())  # errors.py has none
+        # the solver takes epsilon, not a settings object
+        configs = {name for name in names if name.endswith("Config")}
+        assert configs <= {"PipelineConfig"}, module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
 # ---------------------------------------------------------------------------
 # reference oracle: the Cholesky pursuit
 
 
-def _cholesky_greedy_fit(cols, target, epsilon, max_support, exclude=None, pre_banned=None):
+def _cholesky_greedy_fit(cols, target, epsilon, cap, banned=None):
     """Same pursuit, re-solving every coefficient on every iteration through a
     grown Cholesky factor of the support's Gram matrix."""
     n, p = cols.shape
-    banned = np.zeros(p, dtype=bool) if pre_banned is None else pre_banned.copy()
-    if exclude is not None:
-        banned[exclude] = True
-    usable = p - int(banned.sum())
-    cap = min(max_support, usable)
+    banned = np.zeros(p, dtype=bool) if banned is None else banned.copy()
+    cap = min(cap, p - int(banned.sum()))
 
     support = []
     coef = np.empty(0)
@@ -381,18 +407,19 @@ def _cholesky_greedy_fit(cols, target, epsilon, max_support, exclude=None, pre_b
 
 
 def _assert_same_fit(got, want, where):
-    support, coef, trace, reason = got
     ref_support, ref_coef, ref_trace, ref_reason = want
-    assert support == ref_support, where
-    assert reason == ref_reason, where
-    assert len(trace) == len(ref_trace), where
+    assert got.support.tolist() == ref_support, where
+    assert got.stop_reason == ref_reason, where
+    assert got.residual_norms.size == len(ref_trace), where
     if ref_support:
         scale = max(1.0, float(np.max(np.abs(ref_coef))))
-        np.testing.assert_allclose(coef, ref_coef, rtol=0, atol=1e-8 * scale, err_msg=where)
+        np.testing.assert_allclose(
+            got.coefficients, ref_coef, rtol=0, atol=1e-8 * scale, err_msg=where
+        )
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_matches_cholesky_oracle_on_leave_one_out_fits(seed):
+def test_matches_cholesky_oracle_on_leave_one_out_fits(seed, capped_fit):
     # n < d with planted duplicates and mixtures: several rows saturate, i.e.
     # their supports reach 0.9 n or more, where the Gram matrix is worst
     # conditioned.
@@ -403,17 +430,16 @@ def test_matches_cholesky_oracle_on_leave_one_out_fits(seed):
     )
     values = normalize_features(generate(spec)[0])[0].values
     d = values.shape[1]
-    no_zero = np.zeros(d, dtype=bool)
     saturated = 0
     for i in range(d):
         args = (values, values[:, i], 1e-6, d - 1)
-        got = _greedy_fit(*args, exclude=i, pre_banned=no_zero)
-        _assert_same_fit(got, _cholesky_greedy_fit(*args, exclude=i, pre_banned=no_zero), f"row {i}")
-        saturated += len(got[0]) >= 0.9 * n
+        got = capped_fit(*args, np.arange(d) == i)
+        _assert_same_fit(got, _cholesky_greedy_fit(*args, np.arange(d) == i), f"row {i}")
+        saturated += got.support.size >= 0.9 * n
     assert saturated >= 5
 
 
-def test_matches_cholesky_oracle_on_random_dictionaries():
+def test_matches_cholesky_oracle_on_random_dictionaries(capped_fit):
     rng = np.random.default_rng(314)
     reasons = set()
     for trial in range(300):
@@ -423,9 +449,9 @@ def test_matches_cholesky_oracle_on_random_dictionaries():
         target = rng.normal(size=n)
         target /= np.linalg.norm(target)
         args = (cols, target, float(rng.choice([1e-3, 1e-6, 1e-9])), int(rng.integers(1, p + 1)))
-        got = _greedy_fit(*args)
+        got = capped_fit(*args)
         _assert_same_fit(got, _cholesky_greedy_fit(*args), f"trial {trial}")
-        reasons.add(got[3])
+        reasons.add(got.stop_reason)
     # Gaussian atoms run out only on exact fits, which stop as converged; the
     # no-usable-atom arm is compared on the dependent-atom dictionary above.
     assert reasons == {STOP_CONVERGED, STOP_SUPPORT_LIMIT}
@@ -457,12 +483,10 @@ def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
         row = graph.weights[i]
         rep = omp(np.delete(values, i, axis=1), values[:, i])
         dst = np.where(rep.support < i, rep.support, rep.support + 1)
-        rule = np.zeros(d, dtype=bool)
+        rule = np.arange(d) == i
         for a, b in pairs:
-            rule[b] = i != a
-        support, coef, _, reason = _cholesky_greedy_fit(
-            values, values[:, i], 1e-6, n // 2, exclude=i, pre_banned=rule
-        )
+            rule[b] |= i != a
+        support, coef, _, reason = _cholesky_greedy_fit(values, values[:, i], 1e-6, n // 2, rule)
         np.testing.assert_array_equal(dst, support, err_msg=where)
         np.testing.assert_array_equal(np.sort(dst), row.indices, err_msg=where)
         assert graph.stop_reasons[i] == rep.stop_reason == reason, where

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from sfgraph import (
     FeatureMatrix,
-    OmpConfig,
     ParameterError,
     ParseError,
     SparseFeatureGraph,
@@ -42,7 +41,7 @@ def test_duplicate_features_point_at_each_other_with_weight_one():
     g = rng.normal(size=12)
     cols = np.column_stack([rng.normal(size=12), g, g])
     features = FeatureMatrix(_unit_columns(cols))
-    graph = build_sfg(features, OmpConfig(epsilon=1e-6))
+    graph = build_sfg(features, epsilon=1e-6)
     w = graph.weights.toarray()
     assert abs(w[1, 2] - 1.0) <= 1e-8
     assert abs(w[2, 1] - 1.0) <= 1e-8
@@ -55,7 +54,7 @@ def test_planted_mixture_support_contains_parents_with_ls_weights():
     base = rng.normal(size=(30, 4))
     mix = 0.6 * base[:, 1] + 0.4 * base[:, 2] + 1e-8 * rng.normal(size=30)
     features = FeatureMatrix(_unit_columns(np.column_stack([base, mix])))
-    graph = build_sfg(features, OmpConfig(epsilon=1e-6))
+    graph = build_sfg(features, epsilon=1e-6)
     dst, weights = graph.weights[4].indices, graph.weights[4].data
     support = set(dst.tolist())
     assert {1, 2} <= support
@@ -128,7 +127,7 @@ def test_rows_are_capped_at_half_the_samples_and_match_the_default_omp():
         assert graph.stop_reasons[i] == rep.stop_reason, f"row {i}"
 
 
-def test_capped_noise_rows_fail_the_angle_filter():
+def test_capped_noise_rows_fail_the_angle_filter(capped_fit):
     # Uncapped, a noise column is an exact combination of about n others and
     # passes at angle 0; capped, it keeps a residual the filter can see.
     features, truth = _wide_synth(1)
@@ -139,8 +138,13 @@ def test_capped_noise_rows_fail_the_angle_filter():
     filtered = filter_failed(graph, features, max_angle)
     assert filtered.stop_reasons == graph.stop_reasons
     assert len(noise & filtered.failed_nodes) >= 2 * len(noise) / 3
-    uncapped = build_sfg(features, OmpConfig(max_support=features.n_features - 1))
-    assert not noise & filter_failed(uncapped, features, max_angle).failed_nodes
+    # Fit at a cap of d - 1, every noise column comes within 15 degrees: its
+    # squared residual, sin^2 of its angle, falls below sin^2(15 degrees).
+    values = features.values
+    d = features.n_features
+    for i in noise:
+        rep = capped_fit(values, values[:, i], 1e-6, d - 1, np.arange(d) == i)
+        assert rep.support.size and rep.final_residual < np.sin(max_angle) ** 2, f"row {i}"
 
 
 def test_rows_match_least_squares_on_a_tall_shape():
