@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .matrix import FeatureMatrix, normalize_features, pairwise_euclidean
+from .matrix import FeatureMatrix, pairwise_euclidean
 from .omp import GramRows, _greedy_fit
 
 __all__ = [
@@ -409,15 +409,14 @@ def mcfs_select(
 ) -> McfsResult:
     """Score features by sparse regression onto the spectral embedding.
 
-    Each embedding column is greedily regressed on the (unit-normalized)
-    feature columns with at most ``m`` nonzero coefficients.  A feature's
-    score is the largest absolute coefficient it earns across the embedding
-    columns; the top ``m`` scores win, ties resolved toward the lower feature
-    index.  The returned coefficients are those of the normalized
-    regressions, so ``scores`` equals the column-wise max of
-    ``|coefficients|`` exactly.  The regressions share one Gram matrix of
-    the normalized features, formed whole by one product: d^2 n work and
-    d^2 float64 values, 800 MB at d = 10^4.
+    Each embedding column is greedily regressed, with at most ``m`` nonzero
+    coefficients, on the unit-norm columns it is given, not renormalized;
+    a zero column is never an atom and scores 0.  A feature's score is the
+    largest absolute coefficient it earns across the embedding columns, so
+    ``scores`` equals the column-wise max of ``|coefficients|`` exactly; the
+    top ``m`` scores win, ties resolved toward the lower feature index.  The
+    regressions share one Gram matrix of the features, formed whole by one
+    product: d^2 n work and d^2 float64 values, 800 MB at d = 10^4.
     """
     d = features.n_features
     if not 1 <= m <= d:
@@ -428,12 +427,8 @@ def mcfs_select(
             f"embedding rows {y.shape[0]} do not match samples {features.n_samples}"
         )
 
-    normalized, zero_columns = normalize_features(features)
-    zero_mask = np.zeros(d, dtype=bool)
-    zero_mask[zero_columns] = True
-
     coefficients = np.zeros((y.shape[1], d))
-    gram = GramRows(normalized.values)
+    gram = GramRows(features.values)
     for col in range(y.shape[1]):
         t = y[:, col]
         tn = np.linalg.norm(t)
@@ -441,7 +436,7 @@ def mcfs_select(
             continue
         t = t / tn
         support, coef, _, _ = _greedy_fit(
-            gram, t, t @ normalized.values, zero_mask.copy(), MCFS_EPSILON, m
+            gram, t, t @ features.values, gram.zero.copy(), MCFS_EPSILON, m
         )
         coefficients[col, support] = coef
     scores = np.abs(coefficients).max(axis=0, initial=0.0)

@@ -32,6 +32,9 @@ from .errors import DataError, DimensionError, ParseError
 # distances through: the distances are then the one n x n float64 array of a
 # clustering pass (8 MB at n = 1000, 800 MB at n = 10^4).
 BLOCK_BYTES = 1 << 18
+# From this norm up, cells whose squares underflow are below eps * norm, so
+# the bits their squares lose cannot move the norm.
+NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps)
 
 __all__ = [
     "FeatureMatrix",
@@ -287,10 +290,12 @@ def save_csv(path, matrix: FeatureMatrix) -> None:
 def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray]:
     """Scale every feature column to unit L2 norm.
 
-    All-zero columns cannot be normalized; they are left as zeros and their
-    indices returned as the second element, so callers can exclude them.
-    A column whose norm overflows (finite cells of about 1e154 or more) is
-    divided by its largest ``|value|`` before it is normalized.
+    Every column comes out unit-norm or exactly zero, the solver's input.
+    All-zero columns are left as zeros and their indices returned as the
+    second element, so callers can exclude them.  A column whose norm is not
+    in ``[NORM_FLOOR, inf)``, about 6.7e-139, because its squares overflow
+    or underflow, is divided by its largest ``|value|`` first; it is zero
+    only when that is 0.  Every other column is divided by its norm.
 
     Returns
     -------
@@ -305,20 +310,20 @@ def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray
     values = matrix.values
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(values, axis=0)
+    ordinary = (NORM_FLOOR <= norms) & (norms < np.inf)  # False for NaN, too
     # Only a NaN or infinite cell or an overflow gives a non-finite norm, so
-    # the cells are checked in those columns alone.
-    overflowed = np.flatnonzero(~np.isfinite(norms))
-    bad = overflowed[~np.isfinite(values[:, overflowed]).all(axis=0)]
+    # the cells are checked in the rescaled columns alone.
+    rescaled = np.flatnonzero(~ordinary)
+    scaled = values[:, rescaled]
+    bad = rescaled[~np.isfinite(scaled).all(axis=0)]
     if bad.size:
         raise DataError(f"non-finite value in feature column {bad[0]}")
-    zero = np.flatnonzero(norms == 0.0)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = values / safe
-    if overflowed.size:
-        scaled = values[:, overflowed]
-        scaled /= np.abs(scaled).max(axis=0)
-        out[:, overflowed] = scaled / np.linalg.norm(scaled, axis=0)
-    return FeatureMatrix(out, matrix.feature_names), zero
+    out = values / np.where(ordinary, norms, 1.0)
+    peak = np.abs(scaled).max(axis=0, initial=0.0)
+    live = peak > 0.0
+    scaled = scaled[:, live] / peak[live]
+    out[:, rescaled[live]] = scaled / np.linalg.norm(scaled, axis=0)
+    return FeatureMatrix(out, matrix.feature_names), rescaled[~live]
 
 
 def pairwise_euclidean(samples) -> np.ndarray:

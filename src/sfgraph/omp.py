@@ -65,7 +65,8 @@ __all__ = ["SparseRepresentation", "omp"]
 # between consecutive iterations.
 EPSILON = 1e-6
 
-# Columns and targets are required to be unit-norm within this tolerance.
+# Targets, and dictionary columns that are not exactly zero, must be unit-norm
+# within this tolerance.
 UNIT_NORM_TOL = 1e-6
 # An atom whose correlation with the residual falls below this floor cannot
 # reduce the objective by more than its square; selecting it would only add
@@ -130,6 +131,10 @@ class GramRows:
     raises ``MemoryError``, which the command line reports as exit 2, "not
     enough memory".  Fits over one dictionary share an instance.
 
+    The solver's one check of a dictionary runs first: a column that is
+    neither unit-norm (within ``UNIT_NORM_TOL``) nor exactly zero is named
+    in a ``ParameterError``.  ``zero`` marks the zero columns, never atoms.
+
     Twins, columns equal up to sign, tie in every correlation, and a tie goes
     to the lower index.  But a BLAS kernel rounds the columns at the end of a
     block differently from the others, so no product keeps such ties in every
@@ -137,6 +142,16 @@ class GramRows:
     """
 
     def __init__(self, cols: np.ndarray) -> None:
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, refused
+            norms = np.linalg.norm(cols, axis=0)
+        self.zero = norms == 0.0
+        bad = np.flatnonzero(~self.zero & _not_unit_norm(norms))
+        if bad.size:
+            j = int(bad[0])
+            raise ParameterError(
+                f"column {j} is not unit-norm (norm {norms[j]:.6g}); "
+                f"apply normalize_features first"
+            )
         self.cols = cols
         self.rows = cols.T @ cols
         # Twins share |first entry|, so a column has none below it unless it
@@ -277,7 +292,8 @@ def omp(dictionary, target, epsilon: float = EPSILON) -> SparseRepresentation:
     Parameters
     ----------
     dictionary : ndarray of shape (n, p) or FeatureMatrix
-        Atoms as columns, each unit-norm within 1e-6.
+        Atoms as columns, each unit-norm within 1e-6 or exactly zero; a zero
+        column is never an atom.
     target : ndarray of shape (n,)
         Unit-norm vector to approximate.
     epsilon : float, optional
@@ -300,23 +316,15 @@ def omp(dictionary, target, epsilon: float = EPSILON) -> SparseRepresentation:
         raise ParameterError(
             f"target length {t.shape[0]} does not match dictionary rows {cols.shape[0]}"
         )
-    norms = np.linalg.norm(cols, axis=0)
-    bad = np.flatnonzero(_not_unit_norm(norms))
-    if bad.size:
-        j = int(bad[0])
-        raise ParameterError(
-            f"dictionary column {j} is not unit-norm (norm {norms[j]:.6g}); "
-            f"normalize features first"
-        )
     tnorm = np.linalg.norm(t)
     if _not_unit_norm(tnorm):
         raise ParameterError(
             f"target is not unit-norm (norm {tnorm:.6g}); normalize it first"
         )
 
-    banned = np.zeros(cols.shape[1], dtype=bool)
+    gram = GramRows(cols)
     support, coef, trace, reason = _greedy_fit(
-        GramRows(cols), t, t @ cols, banned, epsilon, _support_cap(cols.shape[0])
+        gram, t, t @ cols, gram.zero.copy(), epsilon, _support_cap(cols.shape[0])
     )
     return SparseRepresentation(support, coef, trace, reason)
 

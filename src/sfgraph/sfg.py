@@ -29,14 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ParseError
 from .matrix import FeatureMatrix, _text_lines
-from .omp import (
-    EPSILON,
-    GramRows,
-    _check_epsilon,
-    _greedy_fit,
-    _not_unit_norm,
-    _support_cap,
-)
+from .omp import EPSILON, GramRows, _check_epsilon, _greedy_fit, _support_cap
 
 __all__ = [
     "SparseFeatureGraph",
@@ -103,8 +96,8 @@ class SparseFeatureGraph:
         return float(np.max(np.abs(self.weights.data))) if self.weights.nnz else 0.0
 
 
-def _fit_row(gram: GramRows, i: int, zero_mask: np.ndarray, epsilon: float):
-    banned = zero_mask.copy()
+def _fit_row(gram: GramRows, i: int, epsilon: float):
+    banned = gram.zero.copy()
     banned[i] = True
     cap = _support_cap(gram.cols.shape[0])
     support, coef, trace, reason = _greedy_fit(
@@ -118,7 +111,8 @@ def build_sfg(
 ) -> SparseFeatureGraph:
     """Build the sparse feature graph of a unit-norm feature matrix.
 
-    Every column is fit over all the other columns (the column itself is
+    Columns must be unit-norm or exactly zero, as ``normalize_features``
+    returns them; ``GramRows`` refuses any other.  Every column is fit over all the other columns (the column itself is
     masked out by index, the matrix is never copied) and the coefficients are
     written into the corresponding adjacency row.  Zero-norm columns cannot be
     fit or used as atoms; they become failed nodes with empty rows.  A live
@@ -149,23 +143,13 @@ def build_sfg(
     if d < 2:
         raise ParameterError(f"need at least 2 features to build a graph, got {d}")
 
-    norms = np.linalg.norm(values, axis=0)
-    zero_mask = norms == 0.0
-    bad = np.flatnonzero(~zero_mask & _not_unit_norm(norms))
-    if bad.size:
-        j = int(bad[0])
-        raise ParameterError(
-            f"feature {j} is not unit-norm (norm {norms[j]:.6g}); "
-            f"apply normalize_features before building the graph"
-        )
-
-    live = np.flatnonzero(~zero_mask)
     gram = GramRows(values)
+    live = np.flatnonzero(~gram.zero)
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(lambda i: _fit_row(gram, i, zero_mask, epsilon), live))
+            fits = list(pool.map(lambda i: _fit_row(gram, i, epsilon), live))
     else:
-        fits = [_fit_row(gram, i, zero_mask, epsilon) for i in live]
+        fits = [_fit_row(gram, i, epsilon) for i in live]
 
     # The empty leading arrays keep concatenate defined when no column is live.
     rows = np.repeat(live, [len(s) for s, _, _, _ in fits])
@@ -174,7 +158,7 @@ def build_sfg(
     weights = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.float64)
     reasons = {int(i): fit[2] for i, fit in zip(live, fits)}
     residuals = {int(i): fit[3] for i, fit in zip(live, fits)}
-    return SparseFeatureGraph(weights, np.flatnonzero(zero_mask), reasons, residuals)
+    return SparseFeatureGraph(weights, np.flatnonzero(gram.zero), reasons, residuals)
 
 
 def representation_angle(graph: SparseFeatureGraph, features: FeatureMatrix) -> np.ndarray:

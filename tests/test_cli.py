@@ -12,7 +12,7 @@ import pytest
 
 import sfgraph.cli
 import sfgraph.pipeline
-from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg, sfg
+from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg, save_csv, sfg
 from sfgraph.cli import main
 
 
@@ -95,6 +95,18 @@ def test_sfg_builds_a_loadable_graph_and_angle_csv(tmp_path):
     assert lines[0] == "bin_left,bin_right,count"
     assert len(lines) == 1 + 18 + 1
     assert lines[-1].split(",")[1] == "inf"
+
+
+def test_sfg_takes_a_column_whose_squares_underflow(tmp_path, capsys):
+    # cells near 1e-161 square to subnormals, so the plain norm of column 0
+    # is off by about 4e-4; normalization rescales it first and the graph builds
+    data, _ = _make_dataset(tmp_path)
+    matrix = load_csv(data)
+    matrix.values[:, 0] *= 1e-161
+    tiny = tmp_path / "tiny.csv"
+    save_csv(tiny, matrix)
+    assert main(["sfg", "--input", str(tiny), "--out", str(tmp_path / "graph.tsv")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_sfg_angles_csv_matches_pipeline_angles_csv(tmp_path):

@@ -15,13 +15,17 @@ from sfgraph import (
     DimensionError,
     FeatureMatrix,
     ParseError,
+    SpectralEmbedding,
+    build_sfg,
     load_csv,
     load_labels,
+    mcfs_select,
     normalize_features,
     pairwise_euclidean,
     save_csv,
 )
 from sfgraph.matrix import BLOCK_BYTES
+from sfgraph.omp import UNIT_NORM_TOL
 
 
 def test_matrix_coerces_to_fortran_float64():
@@ -249,6 +253,28 @@ def test_normalize_features_columns_whose_squares_overflow():
         np.testing.assert_allclose(
             out[:, col], parallel / np.linalg.norm(parallel), rtol=1e-14, atol=1e-300
         )
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-161, 1e-162, 1e-200, 1e-310, 5e-324])
+def test_normalize_features_columns_whose_squares_underflow(scale):
+    # cells under about 1e-154 square to subnormals or to zero, so the plain
+    # norm of such a column is off or 0; the column is rescaled first, comes
+    # out unit-norm and is not reported as zero, and the solver takes it
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(20, 5))
+    values[:, 0] *= scale
+    values[:, 3] = 0.0
+    normalized, zero = normalize_features(FeatureMatrix(values))
+    np.testing.assert_array_equal(zero, [3])
+    out = normalized.values
+    assert abs(np.linalg.norm(out[:, 0]) - 1.0) <= UNIT_NORM_TOL
+    np.testing.assert_array_equal(out[:, 3], np.zeros(20))
+    for col in (1, 2, 4):
+        expected = values[:, col] / np.linalg.norm(values[:, col])
+        assert out[:, col].tobytes() == expected.tobytes()
+    assert 0 not in build_sfg(normalized).failed_nodes
+    emb = SpectralEmbedding(out[:, [1, 2]], np.zeros(2))
+    assert mcfs_select(normalized, emb, 2).selected.size == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

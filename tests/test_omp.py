@@ -18,9 +18,11 @@ from sfgraph import (
     FeatureMatrix,
     ParameterError,
     PipelineConfig,
+    SpectralEmbedding,
     SynthSpec,
     build_sfg,
     generate,
+    mcfs_select,
     normalize_features,
     omp,
 )
@@ -289,10 +291,60 @@ def test_nan_dictionary_column_and_nan_target_are_rejected():
     # "norm is off by more than the tolerance" would let it through
     cols = np.eye(3)
     cols[0, 1] = np.nan
-    with pytest.raises(ParameterError, match="dictionary column 1 is not unit-norm"):
+    with pytest.raises(ParameterError, match="^column 1 is not unit-norm"):
         omp(cols, [1.0, 0.0, 0.0])
     with pytest.raises(ParameterError, match="target is not unit-norm"):
         omp(np.eye(3), [np.nan, 0.0, 0.0])
+
+
+def _solver_entry_points():
+    """Each entry point of the greedy solver, run on a dictionary of 8 rows,
+    with a check that column j of its result was never an atom."""
+    rng = np.random.default_rng(6)
+    target = rng.normal(size=8)
+    target /= np.linalg.norm(target)
+    embedding = SpectralEmbedding(rng.normal(size=(8, 2)), np.zeros(2))
+    return {
+        "omp": (lambda cols: omp(cols, target), lambda rep, j: j not in rep.support),
+        "build_sfg": (
+            lambda cols: build_sfg(FeatureMatrix(cols)),
+            lambda graph, j: j in graph.failed_nodes
+            and graph.weights[j].nnz == 0
+            and graph.weights[:, j].nnz == 0,
+        ),
+        "mcfs_select": (
+            lambda cols: mcfs_select(FeatureMatrix(cols), embedding, 2),
+            lambda sel, j: sel.scores[j] == 0.0 and not sel.coefficients[:, j].any(),
+        ),
+    }
+
+
+SOLVER_ENTRY_POINTS = _solver_entry_points()
+
+
+def _unit_columns(n, p, seed):
+    cols = np.random.default_rng(seed).normal(size=(n, p))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+@pytest.mark.parametrize("entry", SOLVER_ENTRY_POINTS)
+@pytest.mark.parametrize("scale, shown", [(2.0, "2"), (np.nan, "nan"), (1e200, "inf")])
+def test_solver_entry_points_refuse_a_bad_column_with_one_message(entry, scale, shown):
+    cols = _unit_columns(8, 5, seed=7)
+    cols[:, 1] *= scale
+    message = f"column 1 is not unit-norm (norm {shown}); apply normalize_features first"
+    run, _ = SOLVER_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError) as err:
+        run(cols)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry", SOLVER_ENTRY_POINTS)
+def test_solver_entry_points_accept_a_zero_column_and_never_use_it(entry):
+    cols = _unit_columns(8, 5, seed=7)
+    cols[:, 2] = 0.0
+    run, never_an_atom = SOLVER_ENTRY_POINTS[entry]
+    assert never_an_atom(run(cols), 2)
 
 
 def test_shape_mismatch_is_rejected():

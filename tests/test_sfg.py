@@ -193,7 +193,7 @@ def test_build_rejects_non_unit_columns_by_index():
 def test_build_rejects_a_nan_column_by_index():
     cols = np.eye(3)
     cols[0, 1] = np.nan
-    with pytest.raises(ParameterError, match="feature 1 is not unit-norm"):
+    with pytest.raises(ParameterError, match="^column 1 is not unit-norm"):
         build_sfg(FeatureMatrix(cols))
 
 
