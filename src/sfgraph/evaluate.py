@@ -436,7 +436,7 @@ def mcfs_select(
             continue
         t = t / tn
         support, coef, _, _ = _greedy_fit(
-            gram, t, t @ features.values, gram.zero.copy(), MCFS_EPSILON, m
+            gram, t, t @ features.values, gram.zero.copy(), MCFS_EPSILON, m, False
         )
         coefficients[col, support] = coef
     scores = np.abs(coefficients).max(axis=0, initial=0.0)

@@ -13,14 +13,26 @@ dictionary atoms get tiny supports, while unstructured targets keep only as
 many atoms as actually reduce the error.  A fit whose squared residual falls
 to the square of the correlation floor is exact and stops as converged too.
 
-A fit of ``omp()`` or of a graph row stops after at most half as many atoms
-as the dictionary has rows, ⌊n/2⌋ (at least 1); this cap is fixed, not a
-setting, and only ``mcfs_select`` passes its own, m atoms.  With fewer
-samples than atoms any target is an exact combination of about n atoms, so a
-fit that needs more than n/2 of them describes the span, not the target.
-Stopped there, such a fit keeps a residual, and its reconstruction angle
-stays large enough for an angle filter to reject it; the cap also bounds the
-cost of the longest fits.
+A fit of ``omp()`` or of a graph row also stops at chance level.  Of a
+unit atoms in n dimensions, the best removes about a 2 ln(a)/n share of a
+residual unrelated to all of them (Cai & Wang, "Orthogonal matching pursuit
+for sparse signal recovery with noise", IEEE Trans. Inf. Theory, 2011).  So
+after the first atom, the best atom is refused when its gain, the drop
+r_{k-1} - r_k it would make, is below
+
+    tau * r_{k-1},    tau = 2 ln(a) / n,
+
+with a the usable atoms (neither zero nor banned when the fit starts), and
+the fit stops as ``chance``.  The first atom is always taken, as the
+epsilon rule too judges only the change an atom made, so a fit is never
+empty while an atom clears the correlation floor.  A noise column's fit
+ends after a few atoms, where it would otherwise run on to the cap below,
+fitting the span rather than the target.
+
+Those fits stop after at most half as many atoms as the dictionary has rows,
+⌊n/2⌋ (at least 1), as a bound.  Neither the cap nor the chance stop is a
+setting; only ``mcfs_select`` passes its own cap, m atoms, and its fits do
+not stop at chance level.
 
 The pursuit is carried in coefficient space (Batch-OMP in QR form): with
 ``cols[:, support] = Q R`` for an orthonormal Q that is never formed, it
@@ -85,7 +97,8 @@ EXPLICIT_RESIDUAL_BELOW = 1e-8
 STOP_CONVERGED = "converged"  # residual change fell to <= epsilon, or fit is exact
 STOP_SUPPORT_LIMIT = "support_limit"  # reached the allowed support size
 STOP_NO_ATOM = "no_usable_atom"  # no remaining atom can make progress
-STOP_REASONS = (STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM)
+STOP_CHANCE = "chance"  # the best atom's gain was within chance level
+STOP_REASONS = (STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_NO_ATOM, STOP_CHANCE)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -108,7 +121,8 @@ class SparseRepresentation:
     residual_norms : squared residual norm trace; entry 0 is the initial
         value before any atom, then one entry per accepted atom.
     final_residual : last entry of the trace.
-    stop_reason : one of ``converged``, ``support_limit``, ``no_usable_atom``.
+    stop_reason : one of ``converged``, ``support_limit``, ``no_usable_atom``,
+        ``chance``.
     """
 
     support: np.ndarray
@@ -203,6 +217,7 @@ def _greedy_fit(
     banned: np.ndarray,
     epsilon: float,
     cap: int,
+    chance: bool,
 ) -> tuple[list[int], np.ndarray, list[float], str]:
     """Core pursuit loop over the columns of ``gram.cols``.
 
@@ -210,11 +225,15 @@ def _greedy_fit(
     must never be selected (the fitted column of a leave-one-out fit,
     zero-norm features); the fit overwrites both, so each caller passes
     arrays it owns.  The support holds at most ``cap`` atoms, and never more
-    than the unbanned columns.
+    than the unbanned columns.  With ``chance``, an atom after the first
+    whose gain ``z**2`` is below ``tau * r``, ``tau = 2 ln(a) / n`` for the
+    a columns unbanned at the start, ends the fit as ``chance``.
     """
     cols = gram.cols
     n, p = cols.shape
-    cap = min(cap, p - int(banned.sum()))
+    usable = p - int(banned.sum())
+    cap = min(cap, usable)
+    tau = 2.0 * np.log(usable) / n if chance and usable else 0.0
 
     support: list[int] = []
     r = float(target @ target)
@@ -243,6 +262,9 @@ def _greedy_fit(
             # Numerically inside the span of the current support (n atoms span
             # every column): skip it for good and try the next-best atom.
             continue
+        if k and corr[j] ** 2 / v2 < tau * r:
+            reason = STOP_CHANCE
+            break
         R[:k, k] = h
         R[k, k] = np.sqrt(v2)
         P[k] = (g - h @ P[:k]) / R[k, k]
@@ -287,7 +309,10 @@ def _not_unit_norm(norms):
 def omp(dictionary, target, epsilon: float = EPSILON) -> SparseRepresentation:
     """Fit ``target`` as a sparse combination of dictionary columns.
 
-    The fit stops after at most ⌊n/2⌋ atoms (at least 1) for n rows.
+    After the first atom, the fit stops as ``chance`` when the best atom
+    would remove less than a ``2 ln(a) / n`` share of the residual, for n
+    rows and a usable (nonzero) columns: what the best of a unrelated atoms
+    removes by chance.  It stops after at most ⌊n/2⌋ atoms (at least 1).
 
     Parameters
     ----------
@@ -324,7 +349,7 @@ def omp(dictionary, target, epsilon: float = EPSILON) -> SparseRepresentation:
 
     gram = GramRows(cols)
     support, coef, trace, reason = _greedy_fit(
-        gram, t, t @ cols, gram.zero.copy(), epsilon, _support_cap(cols.shape[0])
+        gram, t, t @ cols, gram.zero.copy(), epsilon, _support_cap(cols.shape[0]), True
     )
     return SparseRepresentation(support, coef, trace, reason)
 

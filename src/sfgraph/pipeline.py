@@ -223,19 +223,18 @@ def run_pipeline(
         )
 
     sweep: list[dict] = []
-    # The selection grid's inputs.  Without the grid no theta's reduced
-    # matrix is kept: each is released when the next theta's is built.
-    run_mcfs = bool(config.mcfs_counts) and labels is not None
-    reduced_inputs: list[tuple[float | None, FeatureMatrix, object]] = [
-        (None, normalized, baseline_emb)
-    ]
     # Clustering is deterministic for a given matrix and seed, so a theta that
     # keeps the same features as the baseline or an earlier theta reuses its
-    # (embedding, nmi, acc).
-    scored = {
-        np.arange(normalized.n_features, dtype=np.intp).tobytes(): (
-            baseline_emb, baseline_nmi, baseline_acc
-        )
+    # (embedding, nmi, acc), and its selection grid records.
+    all_kept = np.arange(normalized.n_features, dtype=np.intp).tobytes()
+    scored = {all_kept: (baseline_emb, baseline_nmi, baseline_acc)}
+    # The selection grid's inputs: each theta's kept set, and the reduced
+    # matrix of each distinct kept set.  Without the grid no theta's reduced
+    # matrix is kept: each is released when the next theta's is built.
+    run_mcfs = bool(config.mcfs_counts) and labels is not None
+    grid_thetas: list[tuple[float | None, bytes]] = [(None, all_kept)]
+    grid_inputs: dict[bytes, tuple[FeatureMatrix, object]] = {
+        all_kept: (normalized, baseline_emb)
     }
     with _stage("sweep", timings):
         for theta in config.thetas:
@@ -255,7 +254,8 @@ def run_pipeline(
                     scored[key] = (emb, nmi_score, acc_score)
                 emb, record["nmi"], record["acc"] = scored[key]
                 if run_mcfs:
-                    reduced_inputs.append((theta, reduced, emb))
+                    grid_thetas.append((theta, key))
+                    grid_inputs.setdefault(key, (reduced, emb))
             except SfgraphError as exc:
                 record["error"] = str(exc)
             sweep.append(record)
@@ -263,9 +263,12 @@ def run_pipeline(
     mcfs: list[dict] = []
     if run_mcfs:
         with _stage("mcfs", timings):
-            for theta, matrix, emb in reduced_inputs:
-                records = mcfs_records(matrix, emb, config.mcfs_counts, labels, *clustering)
-                mcfs.extend({"theta": theta, **record} for record in records)
+            graded = {
+                key: mcfs_records(matrix, emb, config.mcfs_counts, labels, *clustering)
+                for key, (matrix, emb) in grid_inputs.items()
+            }
+            for theta, key in grid_thetas:
+                mcfs.extend({"theta": theta, **record} for record in graded[key])
 
     timings["total"] = (time.perf_counter() - total_start) * 1000.0
     return {

@@ -101,7 +101,7 @@ def _fit_row(gram: GramRows, i: int, epsilon: float):
     banned[i] = True
     cap = _support_cap(gram.cols.shape[0])
     support, coef, trace, reason = _greedy_fit(
-        gram, gram.cols[:, i], gram.rows[i].copy(), banned, epsilon, cap
+        gram, gram.cols[:, i], gram.rows[i].copy(), banned, epsilon, cap, True
     )
     return support, coef, reason, trace[-1]
 
@@ -112,22 +112,26 @@ def build_sfg(
     """Build the sparse feature graph of a unit-norm feature matrix.
 
     Columns must be unit-norm or exactly zero, as ``normalize_features``
-    returns them; ``GramRows`` refuses any other.  Every column is fit over all the other columns (the column itself is
-    masked out by index, the matrix is never copied) and the coefficients are
-    written into the corresponding adjacency row.  Zero-norm columns cannot be
-    fit or used as atoms; they become failed nodes with empty rows.  A live
-    column whose fit comes back empty keeps an empty row but is *not* marked
-    failed here: it has no defined reconstruction angle, which is exactly what
-    the downstream angle filter rejects.
+    returns them; ``GramRows`` refuses any other.  Every column is fit over
+    all the other columns (the column itself is masked out by index, the
+    matrix is never copied) and the coefficients are written into the
+    corresponding adjacency row.  Zero-norm columns cannot be fit or used as
+    atoms; they become failed nodes with empty rows.  A live column whose fit
+    comes back empty keeps an empty row but is *not* marked failed here: it
+    has no defined reconstruction angle, which is exactly what the
+    downstream angle filter rejects.
 
-    ``epsilon`` is the solver's positive stopping threshold on the change of
-    the squared residual, and each fit stops after at most ⌊n/2⌋ atoms for
-    n samples, the cap of ``omp()``.  With n < d any column is an exact
-    combination of about n others, so an uncapped fit of a column the others
-    cannot really represent would reach angle 0 and pass the angle filter.
-    Capped, it keeps a residual and its angle shows it; the longest and
-    costliest fits are cut short as well.  Each fit's stop reason is kept in
-    ``stop_reasons`` and its final squared residual in ``residuals``.
+    Each row is fit as ``omp()`` fits: ``epsilon`` is the positive stopping
+    threshold on the change of the squared residual, and after its first
+    atom a fit stops as ``chance`` once the best atom would remove less than
+    a ``2 ln(a) / n`` share of the residual, for n samples and the a other
+    nonzero columns.  With n < d any column is an exact combination of about
+    n others, so a fit of a column the others cannot really represent would
+    otherwise run on to angle 0 and pass the angle filter.  Stopped at
+    chance, it keeps a residual and its angle shows it, and the costliest
+    fits are cut short.  ⌊n/2⌋ atoms remain a bound.  Each fit's stop reason
+    is kept in ``stop_reasons`` and its final squared residual in
+    ``residuals``.
 
     The fits share one Gram matrix ``values.T @ values``, formed by one
     product before the first fit: d^2 n work and d^2 float64 values, 8 MB

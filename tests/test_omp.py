@@ -8,6 +8,7 @@ through a Cholesky factor on every iteration.
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sfgraph import (
 from sfgraph.omp import (
     CORRELATION_FLOOR,
     DEPENDENCE_FLOOR,
+    STOP_CHANCE,
     STOP_CONVERGED,
     STOP_NO_ATOM,
     STOP_SUPPORT_LIMIT,
@@ -161,9 +163,21 @@ def test_residual_trace_is_monotone_and_orthogonal():
             assert float(overlap.max()) <= 1e-8
 
 
+def _refused_gain(rep, cols, target):
+    """Gain ``corr_j^2 / v2`` of the atom a fit would take next: the column
+    most correlated with the fit's residual, off its support, with v its
+    component orthogonal to the support's span."""
+    A = cols[:, rep.support]
+    corr = np.abs((target - A @ rep.coefficients) @ cols)
+    corr[rep.support] = 0.0
+    j = int(np.argmax(corr))
+    v = cols[:, j] - A @ np.linalg.lstsq(A, cols[:, j], rcond=None)[0]
+    return corr[j] ** 2 / float(v @ v)
+
+
 def test_stopping_reason_matches_its_condition(capped_fit):
     rng = np.random.default_rng(77)
-    seen = set()
+    seen, seen_with_chance = set(), set()
     for trial in range(300):
         n = int(rng.integers(4, 18))
         p = int(rng.integers(2, 24))
@@ -172,22 +186,33 @@ def test_stopping_reason_matches_its_condition(capped_fit):
         cols = _random_unit_dictionary(n, p, rng)
         target = rng.normal(size=n)
         target /= np.linalg.norm(target)
-        rep = capped_fit(cols, target, epsilon, cap)
-        seen.add(rep.stop_reason)
-        trace = rep.residual_norms
-        if rep.stop_reason == STOP_CONVERGED:
-            # the residual stopped changing, or the fit is exact
-            exact = trace[-1] <= CORRELATION_FLOOR**2
-            assert abs(trace[-1] - trace[-2]) <= epsilon or exact
-        elif rep.stop_reason == STOP_SUPPORT_LIMIT:
-            assert rep.support.size == min(cap, p)
-        else:
-            # the documented third arm: no remaining atom can make progress
-            assert rep.stop_reason == STOP_NO_ATOM
-            assert rep.support.size <= min(cap, p)
-            assert trace[-1] > CORRELATION_FLOOR**2
-    assert STOP_CONVERGED in seen
-    assert STOP_SUPPORT_LIMIT in seen
+        tau = _chance_level(n, p)
+        for chance, reasons in ((False, seen), (True, seen_with_chance)):
+            rep = capped_fit(cols, target, epsilon, cap, chance=chance)
+            reasons.add(rep.stop_reason)
+            trace = rep.residual_norms
+            if chance:
+                # every atom after the first removed at least tau of the residual
+                gains = -np.diff(trace[1:])
+                assert np.all(gains >= tau * trace[1:-1] - 1e-12), trial
+            if rep.stop_reason == STOP_CONVERGED:
+                # the residual stopped changing, or the fit is exact
+                exact = trace[-1] <= CORRELATION_FLOOR**2
+                assert abs(trace[-1] - trace[-2]) <= epsilon or exact
+            elif rep.stop_reason == STOP_SUPPORT_LIMIT:
+                assert rep.support.size == min(cap, p)
+            elif rep.stop_reason == STOP_CHANCE:
+                # the next atom would remove less than tau of the residual
+                assert chance and rep.support.size >= 1, trial
+                assert _refused_gain(rep, cols, target) < tau * trace[-1] + 1e-12, trial
+            else:
+                # the documented last arm: no remaining atom can make progress
+                assert rep.stop_reason == STOP_NO_ATOM
+                assert rep.support.size <= min(cap, p)
+                assert trace[-1] > CORRELATION_FLOOR**2
+    assert {STOP_CONVERGED, STOP_SUPPORT_LIMIT} <= seen
+    assert STOP_CHANCE not in seen
+    assert {STOP_CONVERGED, STOP_SUPPORT_LIMIT, STOP_CHANCE} <= seen_with_chance
 
 
 def test_numerically_dependent_atom_is_banned_then_nothing_remains(capped_fit):
@@ -269,6 +294,44 @@ def test_tiny_dictionaries_get_a_default_cap_of_one_atom(n):
     rep = omp(cols, target, epsilon=1e-12)
     assert rep.support.size == 1
     assert rep.stop_reason == STOP_SUPPORT_LIMIT
+
+
+def test_omp_stops_at_the_cap_when_every_atom_beats_chance():
+    # Orthonormal atoms with coefficients decaying by a factor 0.7 in square:
+    # each step removes about 30% of the residual, above tau = 2 ln(30) / 40
+    # = 17%, and the change stays above epsilon, so only the cap of
+    # 40 // 2 = 20 atoms ends the fit.
+    n, p = 40, 30
+    cols = _orthonormal_dictionary(n, p, seed=9)
+    target = cols @ 0.7 ** (np.arange(p) / 2.0)
+    target /= np.linalg.norm(target)
+    rep = omp(cols, target)
+    assert rep.support.tolist() == list(range(n // 2))
+    assert rep.stop_reason == STOP_SUPPORT_LIMIT
+    gains = -np.diff(rep.residual_norms)
+    assert np.all(gains >= _chance_level(n, p) * rep.residual_norms[:-1])
+
+
+def test_chance_level_counts_usable_atoms_not_columns():
+    # Six orthonormal atoms, five of them in the target, whose steps remove
+    # 60, 37.5, 44, 64 and 100% of the residual: above tau = 2 ln(6) / 20 =
+    # 18%, but the second below 2 ln(306) / 20 = 57%.  Zero columns are never
+    # atoms, so padding the dictionary with 300 of them leaves the chance
+    # level, and the fit, as they are.
+    n = 20
+    cols = _orthonormal_dictionary(n, 6, seed=10)
+    target = cols @ np.sqrt([0.6, 0.15, 0.11, 0.09, 0.05, 0.0])
+    rep = omp(cols, target)
+    assert rep.support.tolist() == [0, 1, 2, 3, 4]
+    assert rep.stop_reason == STOP_CONVERGED
+    padded = omp(np.hstack([np.zeros((n, 150)), cols, np.zeros((n, 150))]), target)
+    assert (padded.support - 150).tolist() == rep.support.tolist()
+    assert padded.stop_reason == rep.stop_reason
+    np.testing.assert_array_equal(padded.residual_norms, rep.residual_norms)
+    # the graph's leave-one-out fits count the fitted column out as well
+    graph = build_sfg(FeatureMatrix(np.column_stack([target, cols, np.zeros((n, 300))])))
+    assert graph.weights[0].indices.tolist() == [1, 2, 3, 4, 5]
+    assert graph.stop_reasons[0] == STOP_CONVERGED
 
 
 def test_non_unit_dictionary_column_is_rejected_by_index():
@@ -391,9 +454,17 @@ def test_every_exported_name_exists():
 # reference oracle: the Cholesky pursuit
 
 
-def _cholesky_greedy_fit(cols, target, epsilon, cap, banned=None):
+def _chance_level(n, usable):
+    """tau = 2 ln(a) / n: the share of a residual that the best of a unit
+    atoms unrelated to it removes, in n dimensions."""
+    return 2.0 * np.log(usable) / n
+
+
+def _cholesky_greedy_fit(cols, target, epsilon, cap, banned=None, tau=0.0):
     """Same pursuit, re-solving every coefficient on every iteration through a
-    grown Cholesky factor of the support's Gram matrix."""
+    grown Cholesky factor of the support's Gram matrix.  An atom after the
+    first that lowers the squared residual by less than ``tau`` of it is
+    taken back and ends the fit as ``chance``; ``tau = 0`` never does."""
     n, p = cols.shape
     banned = np.zeros(p, dtype=bool) if banned is None else banned.copy()
     cap = min(cap, p - int(banned.sum()))
@@ -441,8 +512,13 @@ def _cholesky_greedy_fit(cols, target, epsilon, cap, banned=None):
 
         k = len(support)
         y = solve_triangular(L[:k, :k], phi_t_target[:k], lower=True, check_finite=False)
-        coef = solve_triangular(L[:k, :k], y, lower=True, trans="T", check_finite=False)
-        q = target - cols[:, support] @ coef
+        new = solve_triangular(L[:k, :k], y, lower=True, trans="T", check_finite=False)
+        new_q = target - cols[:, support] @ new
+        if k > 1 and trace[-1] - float(new_q @ new_q) < tau * trace[-1]:
+            support.pop()
+            reason = STOP_CHANCE
+            break
+        coef, q = new, new_q
         trace.append(float(q @ q))
 
         if abs(trace[-1] - trace[-2]) <= epsilon:
@@ -480,7 +556,8 @@ def test_matches_cholesky_oracle_on_leave_one_out_fits(seed, capped_fit):
         n_samples=n, base_features=n, clusters=4, separation=8.0,
         duplicate_pairs=30, mixture_features=20, noise_features=13, seed=seed,
     )
-    values = normalize_features(generate(spec)[0])[0].values
+    features = normalize_features(generate(spec)[0])[0]
+    values = features.values
     d = values.shape[1]
     saturated = 0
     for i in range(d):
@@ -489,11 +566,23 @@ def test_matches_cholesky_oracle_on_leave_one_out_fits(seed, capped_fit):
         _assert_same_fit(got, _cholesky_greedy_fit(*args, np.arange(d) == i), f"row {i}")
         saturated += got.support.size >= 0.9 * n
     assert saturated >= 5
+    # The graph's own fits: capped at n // 2 and stopped at chance level,
+    # with d - 1 usable atoms each.
+    graph = build_sfg(features)
+    tau = _chance_level(n, d - 1)
+    for i in range(d):
+        where = f"graph row {i}"
+        args = (values, values[:, i], 1e-6, n // 2)
+        got = capped_fit(*args, np.arange(d) == i, chance=True)
+        _assert_same_fit(got, _cholesky_greedy_fit(*args, np.arange(d) == i, tau), where)
+        assert graph.stop_reasons[i] == got.stop_reason, where
+        assert graph.weights[i].indices.tolist() == sorted(got.support.tolist()), where
+    assert Counter(graph.stop_reasons.values())[STOP_CHANCE] >= 5
 
 
 def test_matches_cholesky_oracle_on_random_dictionaries(capped_fit):
     rng = np.random.default_rng(314)
-    reasons = set()
+    reasons, reasons_with_chance = set(), set()
     for trial in range(300):
         n = int(rng.integers(4, 20))
         p = int(rng.integers(2, 30))
@@ -504,9 +593,14 @@ def test_matches_cholesky_oracle_on_random_dictionaries(capped_fit):
         got = capped_fit(*args)
         _assert_same_fit(got, _cholesky_greedy_fit(*args), f"trial {trial}")
         reasons.add(got.stop_reason)
+        got = capped_fit(*args, chance=True)
+        want = _cholesky_greedy_fit(*args, tau=_chance_level(n, p))
+        _assert_same_fit(got, want, f"trial {trial} with the chance stop")
+        reasons_with_chance.add(got.stop_reason)
     # Gaussian atoms run out only on exact fits, which stop as converged; the
     # no-usable-atom arm is compared on the dependent-atom dictionary above.
     assert reasons == {STOP_CONVERGED, STOP_SUPPORT_LIMIT}
+    assert STOP_CHANCE in reasons_with_chance
 
 
 def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
@@ -516,8 +610,9 @@ def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
     # product rounds the columns at the end of a block differently, so the
     # tie would follow the layout (omp() below sees 23 columns, the graph
     # 24).  The rule, the lowest-indexed usable twin, is given to the oracle
-    # as banned columns; the solver must find it alone.  The cap, n // 2 =
-    # 18 atoms, stays below the 20 columns usable in each fit.
+    # as banned columns; the solver must find it alone.  The oracle stops at
+    # the chance level of the 23 atoms usable in each fit, and at the cap,
+    # n // 2 = 18 atoms.
     rng = np.random.default_rng(21)
     n, d = 36, 24
     cols = rng.normal(size=(n, d))
@@ -538,7 +633,9 @@ def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
         rule = np.arange(d) == i
         for a, b in pairs:
             rule[b] |= i != a
-        support, coef, _, reason = _cholesky_greedy_fit(values, values[:, i], 1e-6, n // 2, rule)
+        support, coef, _, reason = _cholesky_greedy_fit(
+            values, values[:, i], 1e-6, n // 2, rule, _chance_level(n, d - 1)
+        )
         np.testing.assert_array_equal(dst, support, err_msg=where)
         np.testing.assert_array_equal(np.sort(dst), row.indices, err_msg=where)
         assert graph.stop_reasons[i] == rep.stop_reason == reason, where

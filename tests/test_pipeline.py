@@ -71,8 +71,7 @@ def test_report_structure_and_sweep_length():
 
 
 def _wide_dataset():
-    # n < d, so some fits stop at the default cap of n // 2 atoms; with this
-    # seed the largest weight before the filter is on a row the filter fails
+    # n < d with noise columns, whose fits stop at chance level
     spec = SynthSpec(
         n_samples=30, base_features=30, clusters=3, separation=8.0,
         duplicate_pairs=15, mixture_features=10, noise_features=10, seed=12,
@@ -81,22 +80,27 @@ def _wide_dataset():
 
 
 def test_graph_block_reports_the_solver_diagnostics():
+    # At 0.06 degrees the filter rejects row 26 (0.078 degrees), which holds
+    # the built graph's largest weight, and keeps row 54 (0.042 degrees).
     matrix, labels, _ = _wide_dataset()
-    block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]
+    config = _config(thetas=(0.5,), max_angle_deg=0.06)
+    block = run_pipeline(matrix, labels, config)["graph"]
     normalized, _ = normalize_features(matrix)
     graph = build_sfg(normalized)
-    filtered = filter_failed(graph, normalized, np.deg2rad(15.0))
+    filtered = filter_failed(graph, normalized, np.deg2rad(0.06))
     support = np.diff(graph.weights.indptr)
     assert list(block)[:2] == ["edges", "failed_nodes_after_filter"]
     assert block["edges"] == graph.weights.nnz
     assert block["support_p50"] == float(np.percentile(support, 50))
     assert block["support_p90"] == float(np.percentile(support, 90))
-    assert block["support_max"] == int(support.max()) == 30 // 2
+    assert block["support_max"] == int(support.max()) <= 30 // 2
     reasons = block["stop_reasons"]
-    assert set(reasons) == {"converged", "support_limit", "no_usable_atom"}
+    assert list(reasons) == ["converged", "support_limit", "no_usable_atom", "chance"]
     assert sum(reasons.values()) == matrix.n_features
+    # the noise columns' fits stop at chance level, none at the cap
+    assert reasons["chance"] > 0
     capped = sum(graph.weights[i].nnz == 15 for i in range(matrix.n_features))
-    assert block["capped_rows"] == reasons["support_limit"] == capped > 0
+    assert block["capped_rows"] == reasons["support_limit"] == capped
     dense = np.abs(filtered.weights.toarray())
     src, dst = np.unravel_index(np.argmax(dense), dense.shape)
     assert block["max_abs_weight"] == dense[src, dst] < graph.max_abs_weight()
@@ -115,7 +119,8 @@ def test_graph_block_reports_the_final_residuals():
     assert block["residual_p50"] == float(np.percentile(residuals, 50))
     assert block["residual_p90"] == float(np.percentile(residuals, 90))
     assert block["residual_max"] == float(residuals.max())
-    # capped rows keep a residual, and an exact duplicate's fit leaves none
+    # rows stopped at chance keep a residual, and an exact duplicate's fit
+    # leaves none
     assert 0.0 <= block["residual_p50"] <= block["residual_p90"] <= block["residual_max"] <= 1.0
     assert block["residual_max"] > 0.0 and min(residuals) <= 1e-24
 
@@ -265,6 +270,28 @@ def test_mcfs_grid_runs_on_baseline_and_reduced_inputs():
         assert rec["selected"] in (2, 4)
         if rec["selected"] <= rec["input_features"]:
             assert rec["nmi"] is not None
+
+
+def test_mcfs_grid_selects_once_per_distinct_kept_set(monkeypatch):
+    # The second theta keeps the first one's features, so its grid records
+    # are the first one's under its own theta, with no selection run again.
+    matrix, labels, _ = _synth_dataset(seed=5)
+    calls = []
+
+    def counted_select(features, embedding, m):
+        calls.append((features.n_features, m))
+        return mcfs_select(features, embedding, m)
+
+    mcfs_select = pipeline.mcfs_select
+    monkeypatch.setattr(pipeline, "mcfs_select", counted_select)
+    config = _config(thetas=(0.5, 0.5), mcfs_counts=(2, 4))
+    report = run_pipeline(matrix, labels, config)
+    kept = report["sweep"][0]["retained"]
+    assert kept == report["sweep"][1]["retained"] < matrix.n_features
+    assert calls == [(matrix.n_features, 2), (matrix.n_features, 4), (kept, 2), (kept, 4)]
+    grid = report["mcfs"]
+    assert [rec["theta"] for rec in grid] == [None, None, 0.5, 0.5, 0.5, 0.5]
+    assert grid[2:4] == grid[4:6]
 
 
 @pytest.mark.parametrize("mcfs_counts", [(), (2,)])
