@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .matrix import FeatureMatrix, pairwise_euclidean
@@ -95,17 +97,28 @@ class McfsResult:
     coefficients: np.ndarray
 
 
+def _check_finite_rows(x: np.ndarray, row_name: str) -> None:
+    """Raise a :class:`DataError` naming the first row of ``x`` that holds a
+    non-finite value."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"{row_name} {bad} holds a non-finite value")
+
+
 def gaussian_similarity(samples) -> SimilarityGraph:
     """Gaussian kernel similarity between sample rows.
 
     ``W[i, j] = exp(-dist(i, j)^2 / (2 sigma^2))`` with ``sigma`` the mean
     pairwise distance between distinct samples, which keeps the kernel scale
-    proportionate to the data spread.
+    proportionate to the data spread.  A sample holding a NaN or an infinity
+    is a :class:`DataError`, raised before any distance is computed.
     """
     x = samples.values if isinstance(samples, FeatureMatrix) else np.asarray(samples)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionError("need a 2-D matrix with at least 2 sample rows")
+    _check_finite_rows(x, "sample")
     dist = pairwise_euclidean(x)
     n = x.shape[0]
     sigma = float(dist.sum() / (n * (n - 1)))
@@ -174,17 +187,28 @@ def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
     return SpectralEmbedding(_fix_signs(vectors), 1.0 - mu[order])
 
 
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances ``|x|^2 + |c|^2 - 2 x.c``, clipped at 0, from
+    each point to each center; ``x_sq`` holds the points' squared norms."""
+    d2 = np.add.outer(x_sq, np.sum(centers**2, axis=1))
+    d2 -= 2.0 * (x @ centers.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _plus_plus_init(
+    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     """Spread-out initial centers: each next center is sampled with
     probability proportional to its squared distance from the chosen ones.
 
-    The draw inverts the cumulative distribution as
+    Distances take Lloyd's form (`_sq_distances`) on the points' squared
+    norms ``x_sq``.  The draw inverts the cumulative distribution as
     ``Generator.choice(n, p=d2 / total)`` does, from one ``rng.random()``.
     """
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = _sq_distances(x, x_sq, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -194,7 +218,7 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = rng.integers(n)
         centers[c] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_distances(x, x_sq, centers[c : c + 1])[:, 0])
     return centers
 
 
@@ -203,15 +227,13 @@ def _lloyd(
 ) -> KMeansResult:
     """One k-means++ seeded Lloyd fit; ``x_sq`` holds the rows' squared norms."""
     n, dim = x.shape
-    centers = _plus_plus_init(x, k, rng)
+    centers = _plus_plus_init(x, x_sq, k, rng)
     # Bin (c, j) of the flattened coordinates sums x[:, j] over cluster c.
     coord = np.arange(dim)
     trace: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
     for it in range(KMEANS_MAX_ITER):
-        d2 = np.add.outer(x_sq, np.sum(centers**2, axis=1))
-        d2 -= 2.0 * (x @ centers.T)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = _sq_distances(x, x_sq, centers)
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -242,8 +264,10 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     streams and returns the one with the lowest objective (earliest restart
     wins ties), so results are reproducible for a given ``seed``.
 
-    Squared point-to-center distances are ``|x|^2 + |c|^2 - 2 x.c``, clipped
-    at 0, with the points' norms computed once per call.  A center is its
+    Squared point-to-center distances, in the seeding and in every Lloyd
+    round, are ``|x|^2 + |c|^2 - 2 x.c``, clipped at 0, with the points'
+    norms computed once per call.  A point holding a NaN or an infinity is a
+    :class:`DataError`, raised before any fit.  A center is its
     members' coordinate sums, accumulated in point order by ``np.bincount``,
     divided by their count: for points of two or more coordinates that is
     bitwise the ``x[labels == c].mean(axis=0)`` of each cluster.  For
@@ -260,6 +284,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
         raise ParameterError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    _check_finite_rows(x, "point")
     x_sq = np.sum(x**2, axis=1)
     best: KMeansResult | None = None
     for r in range(restarts):
@@ -340,54 +365,23 @@ def nmi(labels_a, labels_b) -> float:
 def _best_match_total(table: np.ndarray) -> int:
     """Largest sum of cells of ``table`` with at most one per row and column.
 
-    Shortest augmenting paths with row and column potentials (Jonker and
-    Volgenant, 1987): each row of the shorter side is matched in turn along
-    the cheapest path of alternating cells, on costs ``-table`` reduced by
-    the potentials, so every match made so far stays optimal.  The counts
-    are integers, so every cost and potential is exact in float64 and the
-    total is the optimum, whichever of tied matchings is found.
+    A least-cost full matching (scipy's sparse Jonker-Volgenant) on the costs
+    ``table.max() + 1 - table``: every cost is at least 1, so every cell is an
+    edge, and a full matching's ``min(r, c)`` cells cost ``min(r, c) *
+    (table.max() + 1)`` less their total, so the least cost holds the largest
+    total.  The counts are integers, so the total is exact, whichever of tied
+    matchings is found.
     """
+    # The matcher works on no more rows than columns, in float64 costs and
+    # int32 indices; handed that form, it transposes and casts nothing.
     table = table.T if table.shape[0] > table.shape[1] else table
-    cost = -table.astype(np.float64)
-    n_rows, n_cols = cost.shape
-    u, v = np.zeros(n_rows), np.zeros(n_cols)
-    row_of = np.full(n_cols, -1)
-    col_of = np.full(n_rows, -1)
-    dist, final = np.empty(n_cols), np.empty(n_cols)
-    pred = np.empty(n_cols, dtype=np.intp)
-    done = np.empty(n_cols, dtype=bool)
-    for start in range(n_rows):
-        dist.fill(np.inf)  # tentative path costs of the open columns
-        done.fill(False)
-        i, low = start, 0.0
-        while True:  # Dijkstra over columns until one is free
-            reach = cost[i] - v
-            reach += low - u[i]
-            reach[done] = np.inf
-            pred[reach < dist] = i
-            np.minimum(dist, reach, out=dist)
-            j = dist.argmin()
-            low = dist[j]
-            if row_of[j] >= 0:  # among tied columns, end at a free one
-                free = (dist == low) & (row_of < 0)
-                if free.any():
-                    j = free.argmax()
-            done[j], final[j], dist[j] = True, low, np.inf
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-        gain = low - final[done]
-        v[done] -= gain
-        u[start] += low
-        rows = row_of[done]
-        u[rows[rows >= 0]] += gain[rows >= 0]
-        while True:  # flip the path's cells back to ``start``
-            i = pred[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == start:
-                break
-    return int(table[np.arange(n_rows), col_of].sum())
+    r, c = table.shape
+    costs = (table.max() + 1.0 - table).ravel()
+    columns = np.tile(np.arange(c, dtype=np.int32), r)
+    starts = np.arange(0, r * c + 1, c, dtype=np.int32)
+    graph = scipy.sparse.csr_array((costs, columns, starts), shape=(r, c))
+    rows, cols = min_weight_full_bipartite_matching(graph)
+    return int(table[rows, cols].sum())
 
 
 def acc(labels_a, labels_b) -> float:
@@ -397,8 +391,9 @@ def acc(labels_a, labels_b) -> float:
     ids that maximizes agreement: an assignment on the rectangular
     contingency table, so ids of the labeling with more of them may stay
     unmatched.  Symmetric in its arguments.  The assignment is solved
-    exactly by shortest augmenting paths (`_best_match_total`); when several
-    relabelings tie, any of them gives the same total and the same score.
+    exactly as a least-cost full bipartite matching (`_best_match_total`);
+    when several relabelings tie, any of them gives the same total and the
+    same score.
     """
     table = _contingency(labels_a, labels_b)
     return float(_best_match_total(table) / table.sum())

@@ -37,7 +37,7 @@ from sfgraph import (
     pairwise_euclidean,
     spectral_embedding,
 )
-from sfgraph.evaluate import _best_match_total, _contingency
+from sfgraph.evaluate import _best_match_total, _contingency, _plus_plus_init
 from sfgraph.matrix import BLOCK_BYTES
 
 
@@ -130,6 +130,14 @@ def test_similarity_identical_samples_is_a_data_error():
 def test_similarity_validates_shape():
     with pytest.raises(DimensionError):
         gaussian_similarity(np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_similarity_names_the_first_sample_holding_a_non_finite_value(bad):
+    x = np.arange(12.0).reshape(4, 3)
+    x[1, 2] = x[3, 0] = bad
+    with pytest.raises(DataError, match=r"^sample 1 holds a non-finite value$"):
+        gaussian_similarity(x)
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +365,26 @@ def test_kmeans_fills_every_cluster_even_with_duplicate_points():
     assert np.all(counts >= 1)
 
 
+def test_seeding_never_repeats_a_center_while_a_distinct_point_remains():
+    # Lloyd's distance form can round a point's distance to its own copy
+    # below zero.  Unclipped, 100 such copies outweigh the one distinct
+    # neighbour's distance, the total falls to <= 0, and the draw falls back
+    # to a uniform pick, which repeats the center.
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        a = rng.normal(size=4)
+        x = np.vstack([np.tile(a, (100, 1)), a * (1.0 + 1e-7)])
+        x_sq = np.sum(x**2, axis=1)
+        d2 = np.add.outer(x_sq, x_sq[:1]) - 2.0 * (x @ x[:1].T)
+        if d2[0, 0] < 0.0 < d2[-1, 0]:
+            break
+    else:
+        pytest.fail("no point rounds its distance to itself below zero")
+    for seed in range(10):
+        centers = _plus_plus_init(x, x_sq, 2, np.random.default_rng(seed))
+        assert not np.array_equal(centers[0], centers[1]), seed
+
+
 def _reference_plus_plus_init(x, k, rng):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -459,6 +487,13 @@ def test_kmeans_validates_inputs():
         kmeans(x, 2, seed=0, restarts=0)
     with pytest.raises(DimensionError):
         kmeans(np.zeros(4), 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match=r"^point 0 holds a non-finite value$"):
+            kmeans([[bad, 0.0], [1.0, 1.0], [2.0, 2.0]], 2)
+        x = np.arange(10.0).reshape(5, 2)
+        x[2, 1] = x[4, 0] = bad
+        with pytest.raises(DataError, match=r"^point 2 holds a non-finite value$"):
+            kmeans(x, 2)
 
 
 # --------------------------------------------------------------------------
