@@ -12,7 +12,9 @@ Memory grows as n^2 in one place only: the similarity weights, the
 distances turned into the kernel in place.  The eigensolver applies the
 normalized matrix as an operator on those weights and never forms it, so a
 clustering pass holds one n x n float64 array: 8 MB at n = 1000, 800 MB at
-n = 10^4.
+n = 10^4.  k-means runs its restarts in groups sized so that a group's
+(restarts, n, max(k, dim)) float64 block fits ``BLOCK_BYTES``; beyond its
+inputs it holds five arrays of at most that size, 1.25 MB in all.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .matrix import FeatureMatrix, pairwise_euclidean
+from .matrix import BLOCK_BYTES, FeatureMatrix, pairwise_euclidean
 from .omp import GramRows, _greedy_fit
 
 __all__ = [
@@ -187,82 +189,143 @@ def spectral_embedding(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
     return SpectralEmbedding(_fix_signs(vectors), 1.0 - mu[order])
 
 
-def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances ``|x|^2 + |c|^2 - 2 x.c``, clipped at 0, from
-    each point to each center; ``x_sq`` holds the points' squared norms."""
-    d2 = np.add.outer(x_sq, np.sum(centers**2, axis=1))
-    d2 -= 2.0 * (x @ centers.T)
-    return np.maximum(d2, 0.0, out=d2)
+def _sq_distances(
+    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """``out``, set to the (g, n, k) squared distances ``|x|^2 + |c|^2 -
+    2 x.c``, clipped at 0, from each point to each center of g restarts'
+    (g, k, dim) ``centers``.  ``x_sq`` holds the points' squared norms and
+    ``work`` is scratch of ``out``'s shape.  The product is one
+    ``np.matmul`` over the stack: the same BLAS call per restart as a lone
+    ``x @ c.T``."""
+    np.add(x_sq[:, None], np.sum(centers**2, axis=2)[:, None, :], out=out)
+    out -= np.multiply(np.matmul(x, centers.transpose(0, 2, 1), out=work), 2.0, out=work)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _plus_plus_init(
-    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+    x: np.ndarray, x_sq: np.ndarray, k: int, rngs: list[np.random.Generator]
 ) -> np.ndarray:
-    """Spread-out initial centers: each next center is sampled with
-    probability proportional to its squared distance from the chosen ones.
+    """Spread-out initial centers, (g, k, dim) for the g generators ``rngs``:
+    each next center of a restart is sampled with probability proportional
+    to its squared distance from that restart's chosen ones.
 
-    Distances take Lloyd's form (`_sq_distances`) on the points' squared
-    norms ``x_sq``.  The draw inverts the cumulative distribution as
-    ``Generator.choice(n, p=d2 / total)`` does, from one ``rng.random()``.
+    The restarts advance in lockstep, each drawing from its own generator in
+    the order a lone restart would.  Distances take Lloyd's form
+    (`_sq_distances`) on the points' squared norms ``x_sq``.  The draw
+    inverts the cumulative distribution as ``Generator.choice(n, p=d2 /
+    total)`` does, from one ``rng.random()``; a restart whose points all sit
+    on its centers draws ``rng.integers(n)`` instead.
     """
     n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = _sq_distances(x, x_sq, centers[:1])[:, 0]
-    for c in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            cdf = np.cumsum(d2 / total)
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            idx = rng.integers(n)
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, _sq_distances(x, x_sq, centers[c : c + 1])[:, 0])
+    centers = np.empty((len(rngs), k, x.shape[1]))
+    centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    nearest, new, work = np.empty((3, len(rngs), n, 1))
+    d2 = _sq_distances(x, x_sq, centers[:, :1], nearest, work)[:, :, 0]
+    # A restart with a zero total divides 0 by 0 here; its row is not read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(1, k):
+            total = d2.sum(axis=1)
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            for i, rng in enumerate(rngs):
+                if total[i] > 0.0:
+                    idx = int(cdf[i].searchsorted(rng.random(), side="right"))
+                else:
+                    idx = rng.integers(n)
+                centers[i, c] = x[idx]
+            _sq_distances(x, x_sq, centers[:, c : c + 1], new, work)
+            np.minimum(d2, new[:, :, 0], out=d2)
     return centers
 
 
-def _lloyd(
-    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
-) -> KMeansResult:
-    """One k-means++ seeded Lloyd fit; ``x_sq`` holds the rows' squared norms."""
+def _fit_group(
+    x: np.ndarray, x_sq: np.ndarray, k: int, rngs: list[np.random.Generator]
+) -> list[KMeansResult]:
+    """k-means++ seeded Lloyd fits of g restarts in lockstep, one per
+    generator of ``rngs`` and in their order.
+
+    Every round runs as one set of array operations over the restarts still
+    iterating, which sit first in the round's arrays; a restart leaves them
+    in the round it converges.  Cluster ``c`` of the i-th of them is cluster
+    ``i k + c`` of the group, so one ``np.bincount`` in point order counts
+    and sums every restart's clusters.  The (g, n, k) and (g, n, dim) work
+    arrays are allocated once and reused by every round: a fresh temporary of
+    that size can come from new pages each round, which cost as much again
+    as the arithmetic on them.
+    """
     n, dim = x.shape
-    centers = _plus_plus_init(x, x_sq, k, rng)
-    # Bin (c, j) of the flattened coordinates sums x[:, j] over cluster c.
+    size = len(rngs)
+    centers = _plus_plus_init(x, x_sq, k, rngs)
+    live = list(range(size))  # positions in ``rngs`` of the restarts iterating
+    offsets = np.arange(size)[:, None] * k
     coord = np.arange(dim)
-    trace: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
+    weights = np.tile(x.ravel(), size)  # the points once per restart
+    d2_buf, work_buf = np.empty((2, size, n, k))
+    diff_buf = np.empty((size, n, dim))
+    bins_buf = np.empty((size, n, dim), dtype=np.intp)
+    traces: list[list[float]] = [[] for _ in rngs]
+    fits: list[KMeansResult | None] = [None] * size
     for it in range(KMEANS_MAX_ITER):
-        d2 = _sq_distances(x, x_sq, centers)
-        labels = np.argmin(d2, axis=1)
-        counts = np.bincount(labels, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            # Split the largest cluster: hand its farthest member to the
-            # empty cluster.
-            largest = int(np.argmax(counts))
-            members = np.flatnonzero(labels == largest)
-            far = members[int(np.argmax(d2[members, largest]))]
-            labels[far] = empty
-            counts[largest] -= 1
-            counts[empty] += 1
-        bins = (labels[:, None] * dim + coord).ravel()
-        sums = np.bincount(bins, weights=x.ravel(), minlength=k * dim)
-        centers = sums.reshape(k, dim) / counts[:, None]
-        objective = float(np.sum((x - centers[labels]) ** 2))
-        trace.append(objective)
-        if it > 0:
-            prev = trace[-2]
-            if prev == 0.0 or abs(prev - objective) <= KMEANS_REL_TOL * prev:
-                break
-    return KMeansResult(labels, centers, trace[-1], np.asarray(trace), len(trace))
+        g = len(live)
+        d2 = _sq_distances(x, x_sq, centers, d2_buf[:g], work_buf[:g])
+        labels = np.argmin(d2, axis=2)
+        flat = labels + offsets[:g]
+        counts = np.bincount(flat.ravel(), minlength=g * k).reshape(g, k)
+        if not counts.all():
+            for i in np.flatnonzero(~counts.all(axis=1)):
+                for empty in np.flatnonzero(counts[i] == 0):
+                    # Split the largest cluster: hand its farthest member to
+                    # the empty cluster.
+                    largest = int(np.argmax(counts[i]))
+                    members = np.flatnonzero(labels[i] == largest)
+                    far = members[int(np.argmax(d2[i, members, largest]))]
+                    labels[i, far] = empty
+                    counts[i, largest] -= 1
+                    counts[i, empty] += 1
+            flat = labels + offsets[:g]
+        # Bin (c, j) of the flattened coordinates sums x[:, j] over cluster c.
+        bins = np.add((flat * dim)[:, :, None], coord, out=bins_buf[:g])
+        sums = np.bincount(bins.ravel(), weights=weights[: g * n * dim], minlength=g * k * dim)
+        centers = sums.reshape(g, k, dim) / counts[:, :, None]
+        # Every index is in range; "clip" only spares take's buffered copy.
+        diff = np.take(centers.reshape(g * k, dim), flat, axis=0, out=diff_buf[:g], mode="clip")
+        np.subtract(x, diff, out=diff)
+        # Each restart's objective sums one contiguous row, as a lone
+        # restart's np.sum over its (n, dim) block does.
+        objective = np.square(diff, out=diff).reshape(g, n * dim).sum(axis=1)
+        going = []
+        for i, value in enumerate(objective.tolist()):
+            trace = traces[live[i]]
+            trace.append(value)
+            done = it == KMEANS_MAX_ITER - 1
+            if it > 0:
+                prev = trace[-2]
+                done = done or prev == 0.0 or abs(prev - value) <= KMEANS_REL_TOL * prev
+            if done:
+                fits[live[i]] = KMeansResult(
+                    labels[i], centers[i], value, np.asarray(trace), it + 1
+                )
+            else:
+                going.append(i)
+        if not going:
+            break
+        if len(going) < g:
+            live = [live[i] for i in going]
+            centers = centers[going]
+    return fits
 
 
 def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     """Restarted Lloyd k-means with spread-out seeding.
 
     Runs ``restarts`` independent fits from deterministic per-restart RNG
-    streams and returns the one with the lowest objective (earliest restart
-    wins ties), so results are reproducible for a given ``seed``.
+    streams, ``default_rng([seed, r])`` for restart r, and returns the one
+    with the lowest objective (earliest restart wins ties), so results are
+    reproducible for a given ``seed``.  The restarts run in lockstep, in
+    groups whose (restarts, n, max(k, dim)) float64 block fits
+    ``BLOCK_BYTES``; every restart takes the same steps, and gets the same
+    bits, as it would alone.
 
     Squared point-to-center distances, in the seeding and in every Lloyd
     round, are ``|x|^2 + |c|^2 - 2 x.c``, clipped at 0, with the points'
@@ -277,7 +340,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     x = np.ascontiguousarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected 2-D points, got {x.ndim}-D")
-    n = x.shape[0]
+    n, dim = x.shape
     if not 1 <= k <= n:
         raise ParameterError(f"k must lie in [1, {n}] for {n} points, got {k}")
     if restarts < 1:
@@ -286,12 +349,16 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     _check_finite_rows(x, "point")
     x_sq = np.sum(x**2, axis=1)
+    group = max(1, BLOCK_BYTES // (8 * n * max(k, dim)))
     best: KMeansResult | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng([int(seed), r])
-        result = _lloyd(x, x_sq, k, rng)
-        if best is None or result.inertia < best.inertia:
-            best = result
+    for first in range(0, restarts, group):
+        rngs = [
+            np.random.default_rng([int(seed), r])
+            for r in range(first, min(first + group, restarts))
+        ]
+        for fit in _fit_group(x, x_sq, k, rngs):
+            if best is None or fit.inertia < best.inertia:
+                best = fit
     return best
 
 

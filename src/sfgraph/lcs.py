@@ -82,8 +82,11 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     best = seeds[np.sort(best_rank)]  # best-ranked member per label
 
     sizes = np.bincount(labels)[1:]
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-    subgraphs = [g.tolist() for g in groups if g.size > 1]
+    members = np.argsort(labels, kind="stable").tolist()  # by label, ascending
+    ends = np.cumsum(sizes).tolist()
+    subgraphs = [
+        members[end - size : end] for end, size in zip(ends, sizes.tolist()) if size > 1
+    ]
     representatives = best[sizes > 1].tolist()
     singletons = np.sort(best[sizes == 1]).tolist()
     return LcsPartition(labels, subgraphs, representatives, singletons, float(theta))

@@ -88,6 +88,9 @@ CORRELATION_FLOOR = 1e-12
 # the current support.  Below this R would be numerically singular and the
 # atom is skipped.
 DEPENDENCE_FLOOR = 1e-12
+# Rows the pursuit's scratch holds before the first atom; it doubles as the
+# support fills it (`_greedy_fit`).  The median graph fit keeps one atom.
+SCRATCH_ATOMS = 8
 # Below this the running squared residual ``r = t.t - sum z^2`` is replaced by
 # the explicit one of the refined coefficients: its rounding error, about
 # 1e-16, is far above the exact-fit test ``r <= CORRELATION_FLOOR**2``.
@@ -228,6 +231,11 @@ def _greedy_fit(
     than the unbanned columns.  With ``chance``, an atom after the first
     whose gain ``z**2`` is below ``tau * r``, ``tau = 2 ln(a) / n`` for the
     a columns unbanned at the start, ends the fit as ``chance``.
+
+    The pursuit's scratch (``P``, ``R`` and ``z``, one row per atom) starts
+    at ``SCRATCH_ATOMS`` rows and doubles whenever the support fills it, up
+    to ``min(cap, n)`` rows: a fit holds memory for the atoms it takes, not
+    for its cap.  Growing copies rows and changes no value.
     """
     cols = gram.cols
     n, p = cols.shape
@@ -242,9 +250,10 @@ def _greedy_fit(
     # P[m] = Q[:, m]^T cols and z = Q^T target.  No more than n atoms can be
     # independent, so n rows suffice.
     size = min(cap, n)
-    P = np.empty((size, p))
-    R = np.zeros((size, size))
-    z = np.empty(size)
+    rows = min(size, SCRATCH_ATOMS)
+    P = np.empty((rows, p))
+    R = np.zeros((rows, rows))
+    z = np.empty(rows)
     k = 0
     fit = None  # (coefficients, explicit residual) once r is refit from the data
     while True:
@@ -265,6 +274,11 @@ def _greedy_fit(
         if k and corr[j] ** 2 / v2 < tau * r:
             reason = STOP_CHANCE
             break
+        if k == z.size:  # the scratch is full: double it
+            grow = min(2 * k, size) - k
+            P = np.pad(P, ((0, grow), (0, 0)))
+            R = np.pad(R, (0, grow))
+            z = np.pad(z, (0, grow))
         R[:k, k] = h
         R[k, k] = np.sqrt(v2)
         P[k] = (g - h @ P[:k]) / R[k, k]

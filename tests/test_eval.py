@@ -37,6 +37,7 @@ from sfgraph import (
     pairwise_euclidean,
     spectral_embedding,
 )
+from sfgraph import evaluate
 from sfgraph.evaluate import _best_match_total, _contingency, _plus_plus_init
 from sfgraph.matrix import BLOCK_BYTES
 
@@ -381,7 +382,7 @@ def test_seeding_never_repeats_a_center_while_a_distinct_point_remains():
     else:
         pytest.fail("no point rounds its distance to itself below zero")
     for seed in range(10):
-        centers = _plus_plus_init(x, x_sq, 2, np.random.default_rng(seed))
+        centers = _plus_plus_init(x, x_sq, 2, [np.random.default_rng(seed)])[0]
         assert not np.array_equal(centers[0], centers[1]), seed
 
 
@@ -442,12 +443,12 @@ def _reference_kmeans(x, k, seed, restarts, splits):
     return best
 
 
-def _oracle_points(case, rng):
-    """Points of 2-12 coordinates; by case: plain, rounded to a coarse grid
-    (ties in distance), half duplicated, or a few distinct points repeated
-    (duplicate centers, so empty clusters)."""
-    n = int(rng.integers(12, 160))
-    dim = int(rng.integers(2, 13))
+def _oracle_points(case, rng, n_range=(12, 160), dim_range=(2, 13)):
+    """Points of 2-12 coordinates (by default); by case: plain, rounded to a
+    coarse grid (ties in distance), half duplicated, or a few distinct points
+    repeated (duplicate centers, so empty clusters)."""
+    n = int(rng.integers(*n_range))
+    dim = int(rng.integers(*dim_range))
     kind = case % 4
     if kind == 3:
         distinct = rng.normal(size=(int(rng.integers(2, 6)), dim))
@@ -475,6 +476,60 @@ def test_kmeans_matches_the_per_cluster_mean_loop_bit_for_bit():
         assert result.n_iter == len(trace)
         assert result.inertia == trace[-1]
     assert splits, "no case reached the empty-cluster split"
+
+
+def _same_fit(a, b):
+    return (
+        a.labels.tobytes() == b.labels.tobytes()
+        and a.centers.tobytes() == b.centers.tobytes()
+        and a.objective_trace.tobytes() == b.objective_trace.tobytes()
+        and a.n_iter == b.n_iter
+    )
+
+
+def test_kmeans_restarts_across_several_groups_match_the_loop_bit_for_bit():
+    # At n ~ 1000 and dim = k = 10 a group holds 3 restarts of the 10.
+    rng = np.random.default_rng(77)
+    splits = []
+    for case in range(8):
+        x = _oracle_points(case, rng, n_range=(900, 1100), dim_range=(10, 11))
+        restarts = int(rng.integers(4, 11))
+        assert BLOCK_BYTES // (8 * x.shape[0] * 10) < restarts
+        labels, centers, trace = _reference_kmeans(x, 10, case, restarts, splits)
+        result = kmeans(x, 10, seed=case, restarts=restarts)
+        np.testing.assert_array_equal(result.labels, labels)
+        assert result.centers.tobytes() == centers.tobytes(), case
+        assert result.objective_trace.tobytes() == trace.tobytes(), case
+        assert result.n_iter == len(trace)
+    assert splits, "no case reached the empty-cluster split"
+
+
+@pytest.mark.parametrize("max_iter", [evaluate.KMEANS_MAX_ITER, 2, 4])
+def test_kmeans_bits_do_not_depend_on_the_restart_group_size(monkeypatch, max_iter):
+    # A small round limit stops some restarts at the limit in the round
+    # where others converge.
+    monkeypatch.setattr(evaluate, "KMEANS_MAX_ITER", max_iter)
+    rng = np.random.default_rng(78)
+    cases = []
+    for case in range(24):
+        x = _oracle_points(case, rng)
+        k = int(rng.integers(1, min(12, x.shape[0]) + 1))
+        cases.append((x, k, case, int(rng.integers(1, 11))))
+    default = [kmeans(x, k, seed=s, restarts=r) for x, k, s, r in cases]
+    for (x, k, s, r), want in zip(cases, default):
+        three = 3 * 8 * x.shape[0] * max(k, x.shape[1])
+        # Groups of one restart, of three (the last one shorter), of all.
+        for budget in (8, three, 1 << 40):
+            monkeypatch.setattr(evaluate, "BLOCK_BYTES", budget)
+            assert _same_fit(kmeans(x, k, seed=s, restarts=r), want), (budget, s)
+
+
+def test_kmeans_on_identical_points_raises_no_warning():
+    # Every distance is 0: the seeding's cumulative distribution is 0 / 0
+    # for each restart, which must neither warn nor be read.
+    result = kmeans(np.full((8, 3), 2.5), 3, seed=0, restarts=4)
+    assert result.inertia == 0.0
+    assert np.bincount(result.labels, minlength=3).min() >= 1
 
 
 def test_kmeans_validates_inputs():

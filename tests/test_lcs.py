@@ -147,6 +147,28 @@ def test_matches_closure_oracle_on_random_graphs():
             assert partition.singletons == expected_singletons, (trial, theta)
 
 
+def test_subgraphs_match_the_split_grouping_and_hold_python_ints():
+    # Sparse graphs large enough for hundreds of groups, as at d = 614.
+    rng = np.random.default_rng(322)
+    for trial in range(12):
+        d = int(rng.integers(50, 700))
+        graph = SparseFeatureGraph(
+            sp.random(d, d, density=1.5 / d, format="csr", random_state=rng), frozenset()
+        )
+        for theta in (0.9, 0.5, 0.1):
+            partition = find_lcs(graph, theta)
+            sizes = np.bincount(partition.labels)[1:]
+            groups = np.split(
+                np.argsort(partition.labels, kind="stable"), np.cumsum(sizes)[:-1]
+            )
+            want = [g.tolist() for g in groups if g.size > 1]
+            assert partition.subgraphs == want, (trial, theta)
+            for members in partition.subgraphs:
+                assert all(type(i) is int for i in members), (trial, theta)
+            assert all(type(i) is int for i in partition.representatives)
+            assert all(type(i) is int for i in partition.singletons)
+
+
 def test_lower_theta_only_coarsens_the_partition():
     rng = np.random.default_rng(99)
     for trial in range(30):

@@ -30,6 +30,7 @@ from sfgraph import (
 from sfgraph.omp import (
     CORRELATION_FLOOR,
     DEPENDENCE_FLOOR,
+    SCRATCH_ATOMS,
     STOP_CHANCE,
     STOP_CONVERGED,
     STOP_NO_ATOM,
@@ -578,6 +579,24 @@ def test_matches_cholesky_oracle_on_leave_one_out_fits(seed, capped_fit):
         assert graph.stop_reasons[i] == got.stop_reason, where
         assert graph.weights[i].indices.tolist() == sorted(got.support.tolist()), where
     assert Counter(graph.stop_reasons.values())[STOP_CHANCE] >= 5
+
+
+def test_a_graph_fit_across_two_scratch_doublings_matches_the_oracle(capped_fit):
+    # Column 0 mixes 30 others with weights 0.8^j: each next atom holds about
+    # a third of what is left, well above chance, so the graph fit's support
+    # outgrows the scratch's first rows and their first doubling.
+    n, p = 80, 100
+    values = _random_unit_dictionary(n, p, np.random.default_rng(41))
+    mix = values[:, 1:31] @ 0.8 ** np.arange(30)
+    values[:, 0] = mix / np.linalg.norm(mix)
+    args = (values, values[:, 0], 1e-6, n // 2)
+    got = capped_fit(*args, np.arange(p) == 0, chance=True)
+    assert got.support.size > 2 * SCRATCH_ATOMS
+    want = _cholesky_greedy_fit(*args, np.arange(p) == 0, _chance_level(n, p - 1))
+    _assert_same_fit(got, want, "row 0")
+    graph = build_sfg(FeatureMatrix(values))
+    assert graph.weights[0].indices.tolist() == sorted(got.support.tolist())
+    assert graph.stop_reasons[0] == got.stop_reason
 
 
 def test_matches_cholesky_oracle_on_random_dictionaries(capped_fit):
