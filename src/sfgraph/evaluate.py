@@ -19,6 +19,7 @@ inputs it holds five arrays of at most that size, 1.25 MB in all.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .matrix import BLOCK_BYTES, FeatureMatrix, pairwise_euclidean
-from .omp import GramRows, _greedy_fit
+from .omp import GramRows, _pursue
 
 __all__ = [
     "SimilarityGraph",
@@ -316,6 +317,14 @@ def _fit_group(
     return fits
 
 
+@functools.lru_cache(maxsize=256)
+def _restart_seed(seed: int, restart: int) -> np.random.SeedSequence:
+    """The seed of a restart's stream, ``default_rng([seed, restart])``'s:
+    hashing the entropy is most of the cost of building a generator, and
+    every k-means call of a run uses the same few."""
+    return np.random.SeedSequence([seed, restart])
+
+
 def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     """Restarted Lloyd k-means with spread-out seeding.
 
@@ -353,7 +362,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     best: KMeansResult | None = None
     for first in range(0, restarts, group):
         rngs = [
-            np.random.default_rng([int(seed), r])
+            np.random.Generator(np.random.PCG64(_restart_seed(int(seed), r)))
             for r in range(first, min(first + group, restarts))
         ]
         for fit in _fit_group(x, x_sq, k, rngs):
@@ -478,7 +487,10 @@ def mcfs_select(
     ``scores`` equals the column-wise max of ``|coefficients|`` exactly; the
     top ``m`` scores win, ties resolved toward the lower feature index.  The
     regressions share one Gram matrix of the features, formed whole by one
-    product: d^2 n work and d^2 float64 values, 800 MB at d = 10^4.
+    product: d^2 n work and d^2 float64 values, 800 MB at d = 10^4; they run
+    as one lockstep batch (``omp._pursue``), whose scratch holds a d-long
+    float64 row per atom of each embedding column: 13 MB for 40 columns of
+    40 atoms at d = 1024, where the Gram matrix takes 8 MB.
     """
     d = features.n_features
     if not 1 <= m <= d:
@@ -491,16 +503,15 @@ def mcfs_select(
 
     coefficients = np.zeros((y.shape[1], d))
     gram = GramRows(features.values)
-    for col in range(y.shape[1]):
-        t = y[:, col]
-        tn = np.linalg.norm(t)
-        if tn == 0.0:
-            continue
-        t = t / tn
-        support, coef, _, _ = _greedy_fit(
-            gram, t, t @ features.values, gram.zero.copy(), MCFS_EPSILON, m, False
-        )
-        coefficients[col, support] = coef
+    norms = np.linalg.norm(y, axis=0)
+    live = np.flatnonzero(norms != 0.0)
+    targets = (y[:, live] / norms[live]).T
+    fits = _pursue(
+        gram, targets, targets @ features.values, np.tile(gram.zero, (live.size, 1)),
+        MCFS_EPSILON, m, False,
+    )
+    target, atom, coef = fits.entries()
+    coefficients[live[target], atom] = coef
     scores = np.abs(coefficients).max(axis=0, initial=0.0)
     order = np.lexsort((np.arange(d), -scores))
     selected = order[:m].astype(np.intp)

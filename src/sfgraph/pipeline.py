@@ -157,9 +157,10 @@ def _graph_record(graph: SparseFeatureGraph, filtered: SparseFeatureGraph) -> di
     is the support of the fit that holds the largest weight's edge.
     """
     row_sizes = np.diff(graph.weights.indptr)
-    support = row_sizes[list(graph.stop_reasons)]
-    residuals = np.fromiter(graph.residuals.values(), dtype=np.float64)
-    reasons = Counter(graph.stop_reasons.values())
+    fitted = np.not_equal(graph.stop_reasons, None)
+    support = row_sizes[fitted]
+    residuals = graph.residuals[fitted]
+    reasons = Counter(graph.stop_reasons[fitted])
     weights = filtered.weights.tocoo()
     top = int(np.argmax(np.abs(weights.data))) if weights.nnz else None
     return {

@@ -7,6 +7,9 @@ node in a directed graph, so an edge ``i -> j`` with weight ``w`` reads as
 well-representable features are exactly the redundancy structure later mined
 by the subgraph stage.
 
+The d fits share the dictionary, so they are pursued in lockstep batches,
+one set of array operations per round for a whole batch (``omp._pursue``).
+
 Nodes whose reconstruction is poor (large angle between the feature and its
 reconstruction) are marked *failed*: their out-edges say nothing reliable and
 are dropped, while edges pointing at them are kept, since those encode other
@@ -22,14 +25,14 @@ import csv
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, ParseError
-from .matrix import FeatureMatrix, _text_lines
-from .omp import EPSILON, GramRows, _check_epsilon, _greedy_fit, _support_cap
+from .matrix import BLOCK_BYTES, FeatureMatrix, _text_lines
+from .omp import EPSILON, STOP_REASONS, GramRows, _check_epsilon, _pursue, _support_cap
 
 __all__ = [
     "SparseFeatureGraph",
@@ -47,6 +50,9 @@ ANGLE_BINS = 18
 # The first line of a graph file, as save_sfg writes it: the node count and
 # the comma-separated failed node ids, possibly none.
 _HEADER = re.compile(r"# sfg d=(?P<d>[0-9]+) failed=(?P<failed>[0-9]+(?:,[0-9]+)*|)")
+# The leave-one-out fits run in lockstep batches of as many targets as keep
+# a (targets, d) float64 array within this budget, at least one.
+BATCH_BYTES = BLOCK_BYTES
 
 
 @dataclass
@@ -59,12 +65,13 @@ class SparseFeatureGraph:
     failed_nodes : indices whose representation is unusable (zero-norm
         feature at build time, or rejected by the angle filter); their rows
         are empty.
-    stop_reasons : the solver's stop reason for each fitted node, by node
-        index.  Only :func:`build_sfg` knows them, and :func:`filter_failed`
-        keeps them; a graph read from a file has none.
-    residuals : the final squared residual of each fitted node's
-        representation, by node index; kept and carried like
-        ``stop_reasons``.
+    stop_reasons : length-d object array of the solver's stop reason for
+        each fitted node, None where a node was not fitted.  Only
+        :func:`build_sfg` knows them, and :func:`filter_failed` keeps them;
+        a graph read from a file has none (None).
+    residuals : length-d float64 array of the final squared residual of each
+        fitted node's representation, NaN where a node was not fitted; kept
+        and carried like ``stop_reasons``.
     angles : the per-node reconstruction angles (radians) that
         :func:`filter_failed` measured on its input graph, NaN where an angle
         is undefined; None on a graph that was built or loaded.
@@ -72,8 +79,8 @@ class SparseFeatureGraph:
 
     weights: sp.csr_matrix
     failed_nodes: frozenset[int]
-    stop_reasons: dict[int, str] = field(default_factory=dict)
-    residuals: dict[int, float] = field(default_factory=dict)
+    stop_reasons: np.ndarray | None = None
+    residuals: np.ndarray | None = None
     angles: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -96,14 +103,12 @@ class SparseFeatureGraph:
         return float(np.max(np.abs(self.weights.data))) if self.weights.nnz else 0.0
 
 
-def _fit_row(gram: GramRows, i: int, epsilon: float):
-    banned = gram.zero.copy()
-    banned[i] = True
+def _fit_columns(gram: GramRows, epsilon: float, ids: np.ndarray):
+    """The leave-one-out fits of columns ``ids``, as one lockstep batch."""
+    banned = np.tile(gram.zero, (ids.size, 1))
+    banned[np.arange(ids.size), ids] = True
     cap = _support_cap(gram.cols.shape[0])
-    support, coef, trace, reason = _greedy_fit(
-        gram, gram.cols[:, i], gram.rows[i].copy(), banned, epsilon, cap, True
-    )
-    return support, coef, reason, trace[-1]
+    return _pursue(gram, gram.cols.T[ids], gram.rows[ids], banned, epsilon, cap, True)
 
 
 def build_sfg(
@@ -137,9 +142,13 @@ def build_sfg(
     product before the first fit: d^2 n work and d^2 float64 values, 8 MB
     at d = 1024 and 800 MB at d = 10^4.  When that allocation fails the
     ``MemoryError`` propagates, and the command line exits 2 with "not
-    enough memory".  ``n_jobs`` > 1 fans the per-feature fits out to a
-    thread pool that only reads that matrix; each task fits only its own
-    column, so the result is identical for any job count.
+    enough memory".  The fits run in lockstep batches (``omp._pursue``) of
+    as many columns as keep a (columns, d) float64 array within
+    ``BATCH_BYTES``, 53 at d = 614: a batch's scratch beyond the Gram matrix
+    is a few such arrays, and its P rows, one per atom of its live fits.
+    ``n_jobs`` > 1 hands whole batches to a thread pool that only reads the
+    Gram matrix; a fit has the same bits in any batch, so the result is
+    identical for any job count.
     """
     _check_epsilon(epsilon)
     values = features.values
@@ -149,19 +158,29 @@ def build_sfg(
 
     gram = GramRows(values)
     live = np.flatnonzero(~gram.zero)
+    step = max(1, BATCH_BYTES // (8 * d))
+    batches = [live[i : i + step] for i in range(0, live.size, step)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(lambda i: _fit_row(gram, i, epsilon), live))
+            fits = list(pool.map(lambda ids: _fit_columns(gram, epsilon, ids), batches))
     else:
-        fits = [_fit_row(gram, i, epsilon) for i in live]
+        fits = [_fit_columns(gram, epsilon, ids) for ids in batches]
 
+    reasons = np.full(d, None, dtype=object)
+    residuals = np.full(d, np.nan)
     # The empty leading arrays keep concatenate defined when no column is live.
-    rows = np.repeat(live, [len(s) for s, _, _, _ in fits])
-    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [s for s, _, _, _ in fits])
-    vals = np.concatenate([np.empty(0)] + [c for _, c, _, _ in fits])
-    weights = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=np.float64)
-    reasons = {int(i): fit[2] for i, fit in zip(live, fits)}
-    residuals = {int(i): fit[3] for i, fit in zip(live, fits)}
+    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for ids, fit in zip(batches, fits):
+        target, atom, coef = fit.entries()
+        rows.append(ids[target])
+        cols.append(atom)
+        vals.append(coef)
+        reasons[ids] = np.array(STOP_REASONS, dtype=object)[fit.reason]
+        residuals[ids] = fit.final_residuals()
+    weights = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(d, d), dtype=np.float64,
+    )
     return SparseFeatureGraph(weights, np.flatnonzero(gram.zero), reasons, residuals)
 
 

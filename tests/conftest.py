@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfgraph.omp import GramRows, SparseRepresentation, _greedy_fit
+from sfgraph.omp import GramRows, _pursue
 
 
 def _capped_fit(cols, target, epsilon, cap, banned=None, chance=False):
@@ -13,8 +13,10 @@ def _capped_fit(cols, target, epsilon, cap, banned=None, chance=False):
     adds the chance stop of ``omp()`` and graph fits."""
     if banned is None:
         banned = np.zeros(cols.shape[1], dtype=bool)
-    fit = _greedy_fit(GramRows(cols), target, target @ cols, banned, epsilon, cap, chance)
-    return SparseRepresentation(*fit)
+    fits = _pursue(
+        GramRows(cols), target[None], (target @ cols)[None], banned[None], epsilon, cap, chance
+    )
+    return fits.representation(0)
 
 
 @pytest.fixture

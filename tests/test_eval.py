@@ -38,7 +38,7 @@ from sfgraph import (
     spectral_embedding,
 )
 from sfgraph import evaluate
-from sfgraph.evaluate import _best_match_total, _contingency, _plus_plus_init
+from sfgraph.evaluate import _best_match_total, _contingency, _plus_plus_init, _restart_seed
 from sfgraph.matrix import BLOCK_BYTES
 
 
@@ -522,6 +522,18 @@ def test_kmeans_bits_do_not_depend_on_the_restart_group_size(monkeypatch, max_it
         for budget in (8, three, 1 << 40):
             monkeypatch.setattr(evaluate, "BLOCK_BYTES", budget)
             assert _same_fit(kmeans(x, k, seed=s, restarts=r), want), (budget, s)
+
+
+def test_cached_restart_seeds_give_the_default_rng_streams():
+    # kmeans builds each restart's generator from a cached seed; twice, so
+    # that the second build reads the cache.
+    for seed in (0, 1, 7, 12345):
+        for r in range(12):
+            for _ in range(2):
+                got = np.random.Generator(np.random.PCG64(_restart_seed(seed, r)))
+                want = np.random.default_rng([seed, r])
+                assert got.bit_generator.state == want.bit_generator.state, (seed, r)
+                np.testing.assert_array_equal(got.random(16), want.random(16))
 
 
 def test_kmeans_on_identical_points_raises_no_warning():

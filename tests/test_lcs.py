@@ -7,6 +7,8 @@ closure oracle written in plain Python over adjacency dicts.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfgraph import (
     FeatureMatrix,
@@ -294,3 +296,36 @@ def test_save_partition_format(tmp_path):
     partition = find_lcs(_graph(6, [(0, 1, 1.0), (3, 2, 1.0), (4, 2, 1.0)]), 0.5)
     save_partition(partition, path)
     assert path.read_text().splitlines() == ["2,3,4", "1,0", "S:5"]
+
+
+# Random graphs of up to 12 nodes; weights from a short list, so that edges
+# often tie at a breakpoint, of either sign.
+_edges = st.integers(2, 12).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.tuples(
+                st.integers(0, d - 1),
+                st.integers(0, d - 1),
+                st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0, 3.0, -0.5, -2.0]),
+            ),
+            max_size=30,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_edges)
+def test_kept_sets_nest_as_theta_falls(graph):
+    # Lowering theta only adds edges, so groups only merge, and a merged
+    # group keeps the best-ranked of its parts' representatives: each kept
+    # set holds the next lower breakpoint's.  The kept set changes only at a
+    # breakpoint, the value |w| / max|w| of some edge, computed as find_lcs
+    # computes it.
+    d, edges = graph
+    g = _graph(d, [(i, j, w) for i, j, w in edges if i != j])
+    breakpoints = np.unique(np.abs(g.weights.data) / g.max_abs_weight())[::-1]
+    kept = [set(select_representatives(find_lcs(g, float(t))).tolist()) for t in breakpoints]
+    for theta, higher, lower in zip(breakpoints[1:], kept, kept[1:]):
+        assert lower <= higher, theta

@@ -111,7 +111,7 @@ def test_graph_block_reports_the_final_residuals():
     matrix, labels, _ = _wide_dataset()
     block = run_pipeline(matrix, labels, _config(thetas=(0.5,)))["graph"]
     graph = build_sfg(normalize_features(matrix)[0])
-    residuals = np.array(list(graph.residuals.values()))
+    residuals = graph.residuals
     assert residuals.size == matrix.n_features
     keys = list(block)
     at = keys.index("capped_rows")
