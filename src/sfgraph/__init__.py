@@ -42,6 +42,7 @@ from .matrix import (
     normalize_features,
     pairwise_euclidean,
     save_csv,
+    write_columns,
 )
 from .omp import SparseRepresentation, omp
 from .pipeline import PipelineConfig, render_report, run_pipeline
@@ -72,6 +73,7 @@ __all__ = [
     "load_csv",
     "load_labels",
     "save_csv",
+    "write_columns",
     "normalize_features",
     "pairwise_euclidean",
     # solver

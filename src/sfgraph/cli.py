@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from .errors import DimensionError, SfgraphError
-from .lcs import find_lcs, reduce_matrix, save_partition, select_representatives
-from .matrix import load_csv, load_labels, normalize_features, save_csv
+from .lcs import find_lcs, save_partition, select_representatives
+from .matrix import load_csv, load_labels, normalize_features, save_csv, write_columns
 from .pipeline import (
     DEFAULT_THETAS,
     PipelineConfig,
@@ -162,20 +162,20 @@ def cmd_lcs(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    features = load_csv(args.input)
+    """Write the --input columns that the --graph's partition at --theta
+    keeps.  The graph, the smaller file, is read first; ``load_csv`` then
+    parses and checks every cell, and ``write_columns`` copies the kept
+    cells' text, stripped, instead of formatting their values."""
     graph = load_sfg(args.graph)
+    features = load_csv(args.input)
     if graph.n_nodes != features.n_features:
         raise DimensionError(
             f"graph has {graph.n_nodes} nodes but dataset has "
             f"{features.n_features} features"
         )
-    partition = find_lcs(graph, args.theta)
-    kept = select_representatives(partition)
-    reduced = reduce_matrix(features, kept)
-    save_csv(args.out, reduced)
-    print(
-        f"kept {reduced.n_features} of {features.n_features} features -> {args.out}"
-    )
+    kept = select_representatives(find_lcs(graph, args.theta))
+    write_columns(args.input, args.out, features, kept)
+    print(f"kept {kept.size} of {features.n_features} features -> {args.out}")
     return 0
 
 
@@ -303,7 +303,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output partition file")
     p.set_defaults(func=cmd_lcs)
 
-    p = sub.add_parser("reduce", help="write the dataset restricted to kept features")
+    p = sub.add_parser(
+        "reduce",
+        help="copy the kept features' columns of the dataset, cells as written",
+    )
     _add_input_flag(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--theta", type=_theta, required=True)

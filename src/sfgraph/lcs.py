@@ -1,9 +1,8 @@
 """Mining locally compressible subgraphs out of a sparse feature graph.
 
-A locally compressible subgraph (LCS) is a connected group of feature nodes
-tied together by strong representation edges: any member is (directly or
-through peers) well expressed by the others, so the whole group compresses to
-a single representative feature with bounded loss.
+A locally compressible subgraph (LCS) is a group of feature nodes that
+representation edges of at least a threshold weight connect; the reduction
+keeps one representative feature of each group.
 
 Group discovery keeps only edges whose normalized absolute weight reaches a
 threshold ``theta`` in (0, 1]; the groups are the connected components of

@@ -4,8 +4,11 @@ Everything downstream works on a ``FeatureMatrix``: an n-samples x d-features
 float64 array stored column-major, because all heavy access patterns in this
 package walk whole feature columns.
 
-Dataset CSVs are written with shortest round-trip floats (``repr``) and CRLF
-line endings, with header names quoted as the ``csv`` module quotes them.
+``save_csv`` writes shortest round-trip floats (``repr``) and CRLF line
+endings, with header names quoted as the ``csv`` module quotes them.
+``write_columns`` writes a column subset of a loaded file by copying the
+kept cells' text, stripped, in the same layout, so a file ``save_csv``
+wrote projects to the bytes ``save_csv`` writes for the subset.
 Every cell is read as ``float()`` reads it after stripping surrounding
 whitespace.  The header row is read with the ``csv`` module and the body is
 converted in one pass by numpy's C tokenizer, which strips the same
@@ -20,13 +23,15 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParseError
+from .errors import DataError, DimensionError, ParameterError, ParseError
 
 # Cache-sized budget of the block that ``pairwise_euclidean`` forms squared
 # distances through: the distances are then the one n x n float64 array of a
@@ -41,6 +46,7 @@ __all__ = [
     "load_csv",
     "load_labels",
     "save_csv",
+    "write_columns",
     "normalize_features",
     "pairwise_euclidean",
 ]
@@ -285,6 +291,79 @@ def save_csv(path, matrix: FeatureMatrix) -> None:
             csv.writer(fh).writerow(matrix.feature_names)
         # What csv.writer writes for floats: repr, never quoted, CRLF.
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.values.tolist())
+
+
+def write_columns(source, out, matrix: FeatureMatrix, columns) -> None:
+    """Write the ``columns`` of the CSV file ``source`` to ``out``, in order,
+    by copying their cells' text instead of formatting the values.
+
+    ``matrix`` is what ``load_csv(source)`` returned, so every cell has
+    been parsed and checked.  ``source`` is split again with ``csv``, as
+    ``load_csv`` splits it, and blank rows are skipped.  When ``matrix``
+    has names, its header row is skipped and the kept names are written
+    with ``csv.writer``; each body row is written as its kept cells,
+    stripped, joined by commas and ended by CRLF.  A cell that is
+    ``repr(float(cell))`` is copied as it stands, so the output of a file
+    that ``save_csv`` wrote is the bytes ``save_csv`` writes for the
+    subset; any other cell keeps its own spelling (``1e3``, ``+0.5``,
+    ``1_0``), which reads back as the same value.
+
+    Raises
+    ------
+    ParameterError
+        A column index outside ``[0, n_features)``, or ``out`` is
+        ``source`` itself, which opening ``out`` would empty before it is
+        read.
+    ParseError
+        ``source`` is no longer valid text or CSV.
+    DataError
+        A row of ``source`` whose width, or a row count, differs from
+        ``matrix``: the file changed after it was loaded.  ``out`` is
+        removed whenever the call fails after creating it.
+    """
+    n, d = matrix.values.shape
+    columns = [int(j) for j in columns]
+    outside = [j for j in columns if not 0 <= j < d]
+    if outside:
+        raise ParameterError(f"kept index {outside[0]} out of range for {d} features")
+    if os.path.exists(out) and os.path.samefile(source, out):
+        raise ParameterError(f"{out}: cannot overwrite the input file it projects")
+    if len(columns) > 1:
+        take = operator.itemgetter(*columns)
+    else:  # one index would give the cell itself, not a sequence of one
+        take = operator.itemgetter(slice(columns[0], columns[0] + 1))
+
+    def rows(reader):
+        """The non-blank rows of ``reader``, each checked against ``d``."""
+        try:
+            for row in filter(None, reader):
+                if len(row) != d:
+                    raise DataError(
+                        f"{source}: row {reader.line_num} has {len(row)} cells, "
+                        f"but the loaded matrix has {d} features"
+                    )
+                yield row
+        except csv.Error as exc:
+            raise ParseError(f"{source}: {exc}") from None
+
+    with open(source, newline="") as src, open(out, "w", newline="") as dst:
+        try:
+            body = rows(csv.reader(_text_lines(src, source)))
+            if matrix.feature_names is not None:
+                next(body, None)
+                csv.writer(dst).writerow([matrix.feature_names[j] for j in columns])
+            written = 0
+            for row in body:
+                dst.write(",".join(map(str.strip, take(row))) + "\r\n")
+                written += 1
+            if written != n:
+                raise DataError(
+                    f"{source}: {written} data rows, but the loaded matrix has {n} samples"
+                )
+        except BaseException:
+            dst.close()
+            os.remove(out)
+            raise
 
 
 def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray]:

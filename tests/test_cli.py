@@ -8,11 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sfgraph.cli
 import sfgraph.pipeline
-from sfgraph import NumericalError, SfgraphError, load_csv, load_sfg, save_csv, sfg
+from sfgraph import (
+    FeatureMatrix,
+    NumericalError,
+    SfgraphError,
+    load_csv,
+    load_sfg,
+    save_csv,
+    sfg,
+)
 from sfgraph.cli import main
 
 
@@ -270,6 +279,47 @@ def test_lcs_and_reduce_agree_on_kept_features(tmp_path, capsys):
     group_lines = [l for l in part_path.read_text().splitlines() if ":" not in l]
     dropped = sum(len(line.split(",")) - 1 for line in group_lines)
     assert reduced.n_features == 10 - dropped
+
+
+@pytest.mark.parametrize(
+    "shape, problem",
+    [
+        ((5, 3), "4 data rows, but the loaded matrix has 5 samples"),
+        ((3, 3), "4 data rows, but the loaded matrix has 3 samples"),
+        ((4, 2), "row 1 has 3 cells, but the loaded matrix has 2 features"),
+    ],
+    ids=["more-samples", "fewer-samples", "fewer-features"],
+)
+def test_reduce_of_a_csv_that_changed_after_loading_writes_nothing(
+    tmp_path, monkeypatch, capsys, shape, problem
+):
+    data = tmp_path / "data.csv"
+    data.write_text("1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
+    graph = tmp_path / "graph.tsv"
+    graph.write_text(f"# sfg d={shape[1]} failed=\n")
+    # the loaded matrix stands for the file as it was at the first read
+    monkeypatch.setattr(sfgraph.cli, "load_csv", lambda path: FeatureMatrix(np.ones(shape)))
+    out = tmp_path / "reduced.csv"
+    argv = ["reduce", "--input", str(data), "--graph", str(graph), "--theta", "0.5"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "foo=bar\n"], ids=["missing", "malformed"])
+def test_reduce_reads_the_graph_before_the_csv(tmp_path, monkeypatch, capsys, text):
+    def never(path):
+        raise AssertionError("the CSV may not be parsed before the graph")
+
+    monkeypatch.setattr(sfgraph.cli, "load_csv", never)
+    graph = tmp_path / "graph.tsv"
+    if text is not None:
+        graph.write_text(text)
+    out = tmp_path / "reduced.csv"
+    argv = ["reduce", "--input", str(tmp_path / "data.csv"), "--graph", str(graph)]
+    assert main([*argv, "--theta", "0.5", "--out", str(out)]) == 2
+    assert str(graph) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_sc_writes_scores(tmp_path):

@@ -14,6 +14,7 @@ from sfgraph import (
     DataError,
     DimensionError,
     FeatureMatrix,
+    ParameterError,
     ParseError,
     SpectralEmbedding,
     build_sfg,
@@ -23,6 +24,7 @@ from sfgraph import (
     normalize_features,
     pairwise_euclidean,
     save_csv,
+    write_columns,
 )
 from sfgraph.matrix import BLOCK_BYTES
 from sfgraph.omp import UNIT_NORM_TOL
@@ -192,6 +194,50 @@ def test_save_csv_writes_shortest_round_trip_floats(tmp_path):
     path = tmp_path / "plain.csv"
     save_csv(path, FeatureMatrix(values))
     assert path.read_bytes() == b"-0.0,0.1\r\n1e+22,5e-324\r\n"
+
+
+@pytest.mark.parametrize(
+    "text, kept, expected",
+    [
+        # One column: itemgetter(j) gives the cell, not a 1-tuple.
+        ('" a ","b,c",d\n1,+2, 3 \n4e0,5_0,6\n', [1], '"b,c"\r\n+2\r\n5_0\r\n'),
+        ('" a ","b,c",d\n1,+2, 3 \n4e0,5_0,6\n', [0, 1, 2],
+         'a,"b,c",d\r\n1,+2,3\r\n4e0,5_0,6\r\n'),
+        ('" a ","b,c",d\n1,+2, 3 \n4e0,5_0,6\n', [2, 0], "d,a\r\n3,1\r\n6,4e0\r\n"),
+        ("1,2\r\n\r\n \t3 ,4\r\r\n", [0], "1\r\n3\r\n"),
+    ],
+    ids=["one-column", "all-columns", "reordered", "no-header"],
+)
+def test_write_columns_copies_the_kept_cells_stripped(tmp_path, text, kept, expected):
+    source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    source.write_text(text)
+    matrix = load_csv(source)
+    write_columns(source, out, matrix, kept)
+    assert out.read_bytes() == expected.encode()
+    # A one-column file is below load_csv's 2 features: read it with csv.
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if matrix.feature_names is not None:
+        assert rows.pop(0) == [matrix.feature_names[j] for j in kept]
+    values = np.array([[float(cell) for cell in row] for row in rows])
+    np.testing.assert_array_equal(values, matrix.values[:, kept])
+
+
+@pytest.mark.parametrize("kept", [[0, 3], [-1], [0, 1, 2, 3]])
+def test_write_columns_rejects_an_index_out_of_range(tmp_path, kept):
+    source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    source.write_text("1,2,3\n4,5,6\n")
+    with pytest.raises(ParameterError, match="out of range for 3 features"):
+        write_columns(source, out, load_csv(source), kept)
+    assert not out.exists()
+
+
+def test_write_columns_refuses_to_overwrite_its_source(tmp_path):
+    source = tmp_path / "in.csv"
+    source.write_text("1,2\n3,4\n")
+    with pytest.raises(ParameterError, match="cannot overwrite the input"):
+        write_columns(source, tmp_path / "." / "in.csv", load_csv(source), [0])
+    assert source.read_text() == "1,2\n3,4\n"
 
 
 def test_load_labels(tmp_path):

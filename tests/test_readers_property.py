@@ -1,8 +1,10 @@
 """Property tests for the file readers: any file text gives either a result
 that satisfies the reader's contract or an ``SfgraphError``, never another
 exception.  The CSV reader and writer are also checked against per-cell
-reference versions, value for value and byte for byte."""
+reference versions, value for value and byte for byte, and ``reduce``'s
+projection of a CSV against the reader."""
 
+import argparse
 import csv
 import locale
 import re
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sfgraph.cli
 from sfgraph import (
     DataError,
     DimensionError,
@@ -325,3 +328,76 @@ def test_save_csv_writes_what_csv_writer_writes(scratch, matrix):
     save_csv(scratch, matrix)
     _reference_save_csv(reference, matrix)
     assert scratch.read_bytes() == reference.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# reduce's column projection against the reader
+
+
+def _reference_rows(path):
+    """The non-blank rows of ``path`` as ``csv.reader`` splits them."""
+    with open(path, newline="") as fh:
+        return [row for row in csv.reader(fh) if row]
+
+
+def _reduce(source, out, graph, kept):
+    """Run ``reduce`` on ``source`` with a graph of no edges, whose
+    partition is replaced by ``kept``."""
+    args = argparse.Namespace(input=str(source), graph=str(graph), theta=1.0, out=str(out))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sfgraph.cli, "select_representatives", lambda partition: np.array(kept))
+        sfgraph.cli.cmd_reduce(args)
+
+
+@st.composite
+def _canonical_table(draw):
+    """Tables of at least 2x2 whose every body cell is ``repr`` of a finite
+    float, as ``save_csv`` writes them, under any line ends and with
+    optional quoted header names."""
+    width = draw(st.integers(2, 4))
+    lines = []
+    if draw(st.booleans()):
+        names = draw(st.lists(_header_name, min_size=width, max_size=width))
+        lines.append(",".join('"' + name.replace('"', '""') + '"' for name in names))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    for _ in range(draw(st.integers(2, 5))):
+        lines.append(",".join(draw(st.lists(finite, min_size=width, max_size=width))))
+    return "".join(line + draw(_line_end) for line in lines)
+
+
+@SETTINGS
+@given(text=st.one_of(_oracle_table, _canonical_table()), data=st.data())
+def test_reduce_projects_what_load_csv_reads(scratch, text, data):
+    scratch.write_text(text)
+    graph = scratch.with_name("graph.tsv")
+    out = scratch.with_name("reduced.csv")
+    out.unlink(missing_ok=True)
+    try:
+        matrix = load_csv(scratch)
+    except SfgraphError as exc:
+        graph.write_text("# sfg d=2 failed=\n")
+        with pytest.raises(type(exc)) as raised:
+            _reduce(scratch, out, graph, [0])
+        assert str(raised.value) == str(exc)
+        assert not out.exists()
+        return
+    d = matrix.n_features
+    kept = data.draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True), label="kept")
+    graph.write_text(f"# sfg d={d} failed=\n")
+    _reduce(scratch, out, graph, kept)
+
+    # Each kept cell's text, stripped, read back as the same value.
+    rows = _reference_rows(scratch)
+    written = _reference_rows(out)
+    if matrix.feature_names is not None:
+        rows = rows[1:]
+        assert written[0] == [matrix.feature_names[j] for j in kept]
+        written = written[1:]
+    assert written == [[row[j].strip() for j in kept] for row in rows]
+    values = np.array([[float(cell) for cell in row] for row in written])
+    assert values.tobytes() == np.ascontiguousarray(matrix.values[:, kept]).tobytes()
+
+    if all(cell == repr(float(cell.strip())) for row in rows for cell in row):
+        reference = scratch.with_name("reference.csv")
+        save_csv(reference, matrix.subset(kept))
+        assert out.read_bytes() == reference.read_bytes()
