@@ -28,13 +28,7 @@ from .evaluate import (
     nmi,
     spectral_embedding,
 )
-from .lcs import (
-    LcsPartition,
-    find_lcs,
-    reduce_matrix,
-    save_partition,
-    select_representatives,
-)
+from .lcs import LcsPartition, find_lcs, save_partition
 from .matrix import (
     FeatureMatrix,
     load_csv,
@@ -90,8 +84,6 @@ __all__ = [
     # subgraphs
     "LcsPartition",
     "find_lcs",
-    "select_representatives",
-    "reduce_matrix",
     "save_partition",
     # evaluation
     "SimilarityGraph",

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import DimensionError, SfgraphError
-from .lcs import find_lcs, save_partition, select_representatives
+from .lcs import find_lcs, save_partition
 from .matrix import load_csv, load_labels, normalize_features, save_csv, write_columns
 from .pipeline import (
     DEFAULT_THETAS,
@@ -151,11 +151,10 @@ def cmd_sfg(args) -> int:
 def cmd_lcs(args) -> int:
     graph = load_sfg(args.graph)
     partition = find_lcs(graph, args.theta)
-    kept = select_representatives(partition)
     save_partition(partition, args.out)
     print(
         f"theta={args.theta}: {len(partition.subgraphs)} subgraphs, "
-        f"{len(partition.singletons)} singletons, keep {kept.size} "
+        f"{len(partition.singletons)} singletons, keep {partition.kept.size} "
         f"of {graph.n_nodes} -> {args.out}"
     )
     return 0
@@ -173,7 +172,7 @@ def cmd_reduce(args) -> int:
             f"graph has {graph.n_nodes} nodes but dataset has "
             f"{features.n_features} features"
         )
-    kept = select_representatives(find_lcs(graph, args.theta))
+    kept = find_lcs(graph, args.theta).kept
     write_columns(args.input, args.out, features, kept)
     print(f"kept {kept.size} of {features.n_features} features -> {args.out}")
     return 0

@@ -10,8 +10,8 @@ that thresholded graph with edge direction ignored.  Nodes rank by decreasing
 in-degree with ties to the lower index.  Groups are numbered in the order of
 their best-ranked member, and that member is the group's representative,
 recorded in ``LcsPartition.representatives``; neither affects membership.
-The partition fixes the reduction: each subgraph keeps its representative,
-and every singleton is kept.
+The partition fixes the reduction, ``LcsPartition.kept``: each subgraph keeps
+its representative, and every singleton is kept.
 """
 
 from __future__ import annotations
@@ -22,16 +22,9 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, ParameterError
-from .matrix import FeatureMatrix
 from .sfg import SparseFeatureGraph
 
-__all__ = [
-    "LcsPartition",
-    "find_lcs",
-    "select_representatives",
-    "reduce_matrix",
-    "save_partition",
-]
+__all__ = ["LcsPartition", "find_lcs", "save_partition"]
 
 
 @dataclass
@@ -44,6 +37,9 @@ class LcsPartition:
     representatives : the best-ranked member of each subgraph (highest
         in-degree, ties to the lower index), aligned with ``subgraphs``.
     singletons : nodes whose group is just themselves, ascending.
+    kept : ascending ``intp`` indices of the features the reduction keeps,
+        one per group: each subgraph's representative, the member most other
+        features lean on, and every singleton, which carries no redundancy.
     theta : threshold the partition was mined at.
     """
 
@@ -51,6 +47,7 @@ class LcsPartition:
     subgraphs: list[list[int]]
     representatives: list[int]
     singletons: list[int]
+    kept: np.ndarray
     theta: float
 
 
@@ -62,8 +59,10 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     The groups are the weakly connected components of the participating
     edges.  Nodes rank by decreasing in-degree (ties to the lower index),
     groups are labelled 1, 2, ... in the order of their best-ranked member,
-    and that member is the subgraph's representative.  A graph with no
-    nodes has nothing to mine and raises :class:`DimensionError`.
+    and that member is the subgraph's representative.  The partition's
+    ``kept`` set holds each group's best-ranked member, so one feature per
+    group, ascending.  A graph with no nodes has nothing to mine and raises
+    :class:`DimensionError`.
     """
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
@@ -88,33 +87,9 @@ def find_lcs(graph: SparseFeatureGraph, theta: float) -> LcsPartition:
     ]
     representatives = best[sizes > 1].tolist()
     singletons = np.sort(best[sizes == 1]).tolist()
-    return LcsPartition(labels, subgraphs, representatives, singletons, float(theta))
-
-
-def select_representatives(partition: LcsPartition) -> np.ndarray:
-    """Ascending indices of the features the partition keeps: one per group.
-
-    Each subgraph keeps its representative, ``partition.representatives``:
-    the member most other features lean on (in-degree in the full graph, ties
-    to the lower index).  Singleton nodes carry no redundancy and are kept.
-    """
-    kept = partition.representatives + partition.singletons
-    return np.array(sorted(kept), dtype=np.intp)
-
-
-def reduce_matrix(features: FeatureMatrix, kept: np.ndarray) -> FeatureMatrix:
-    """Column subset of the matrix holding only the ``kept`` features, in order.
-
-    Every index must lie in ``[0, n_features)``; a negative one would
-    otherwise count from the end.
-    """
-    outside = (kept < 0) | (kept >= features.n_features)
-    if outside.any():
-        raise ParameterError(
-            f"kept index {int(kept[outside][0])} out of range for "
-            f"{features.n_features} features"
-        )
-    return features.subset(kept)
+    return LcsPartition(
+        labels, subgraphs, representatives, singletons, np.sort(best), float(theta)
+    )
 
 
 def save_partition(partition: LcsPartition, path) -> None:

@@ -90,8 +90,18 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def subset(self, indices) -> "FeatureMatrix":
-        """Return a new matrix holding the given columns, in the given order."""
+        """Return a new matrix holding the given columns, in the given order.
+
+        Every index must lie in ``[0, n_features)``; a negative one would
+        otherwise count from the end.
+        """
         idx = np.asarray(indices, dtype=np.intp)
+        outside = (idx < 0) | (idx >= self.n_features)
+        if outside.any():
+            raise ParameterError(
+                f"kept index {int(idx[outside][0])} out of range for "
+                f"{self.n_features} features"
+            )
         names = None
         if self.feature_names is not None:
             names = tuple(self.feature_names[int(j)] for j in idx)

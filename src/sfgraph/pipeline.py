@@ -33,7 +33,7 @@ from .evaluate import (
     nmi,
     spectral_embedding,
 )
-from .lcs import find_lcs, reduce_matrix, select_representatives
+from .lcs import find_lcs
 from .matrix import FeatureMatrix, normalize_features
 from .omp import EPSILON, STOP_REASONS, STOP_SUPPORT_LIMIT, _check_epsilon
 from .sfg import SparseFeatureGraph, angle_histogram, build_sfg, filter_failed
@@ -100,7 +100,7 @@ def _stage(name: str, timings: dict):
     except SfgraphError as exc:
         raise type(exc)(f"stage {name!r}: {exc}") from exc
     finally:
-        timings[name] = (time.perf_counter() - start) * 1000.0
+        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start) * 1000.0
 
 
 def cluster_scores(matrix: FeatureMatrix, labels, k: int, seed: int, restarts: int):
@@ -218,58 +218,44 @@ def run_pipeline(
     with _stage("filter", timings):
         filtered = filter_failed(graph, normalized, np.deg2rad(config.max_angle_deg))
 
+    counts = config.mcfs_counts if labels is not None else ()
+
+    def score(matrix: FeatureMatrix) -> tuple:
+        """(nmi, acc, selection grid records) of one matrix."""
+        emb, _, nmi_score, acc_score = cluster_scores(matrix, labels, *clustering)
+        if not counts:
+            return nmi_score, acc_score, []
+        with _stage("mcfs", timings):
+            grid = mcfs_records(matrix, emb, counts, labels, *clustering)
+        return nmi_score, acc_score, grid
+
+    # Clustering is deterministic for a given matrix and seed, so each
+    # distinct kept set is scored once, where the run first meets it, and a
+    # theta that keeps the same features as the baseline or an earlier theta
+    # reuses its scores.  A reduced matrix is released once it is scored.
     with _stage("baseline", timings):
-        baseline_emb, _, baseline_nmi, baseline_acc = cluster_scores(
-            normalized, labels, *clustering
-        )
+        baseline_nmi, baseline_acc, grid = score(normalized)
+    all_kept = np.arange(normalized.n_features, dtype=np.intp).tobytes()
+    scored = {all_kept: (baseline_nmi, baseline_acc, grid)}
+    mcfs = [{"theta": None, **rec} for rec in grid]
 
     sweep: list[dict] = []
-    # Clustering is deterministic for a given matrix and seed, so a theta that
-    # keeps the same features as the baseline or an earlier theta reuses its
-    # (embedding, nmi, acc), and its selection grid records.
-    all_kept = np.arange(normalized.n_features, dtype=np.intp).tobytes()
-    scored = {all_kept: (baseline_emb, baseline_nmi, baseline_acc)}
-    # The selection grid's inputs: each theta's kept set, and the reduced
-    # matrix of each distinct kept set.  Without the grid no theta's reduced
-    # matrix is kept: each is released when the next theta's is built.
-    run_mcfs = bool(config.mcfs_counts) and labels is not None
-    grid_thetas: list[tuple[float | None, bytes]] = [(None, all_kept)]
-    grid_inputs: dict[bytes, tuple[FeatureMatrix, object]] = {
-        all_kept: (normalized, baseline_emb)
-    }
     with _stage("sweep", timings):
         for theta in config.thetas:
             record = dict(_SWEEP_RECORD, theta=theta)
             try:
                 partition = find_lcs(filtered, theta)
-                kept = select_representatives(partition)
-                reduced = reduce_matrix(normalized, kept)
-                record["retained"] = int(kept.size)
+                record["retained"] = int(partition.kept.size)
                 record["subgraphs"] = len(partition.subgraphs)
                 record["singletons"] = len(partition.singletons)
-                key = kept.tobytes()
+                key = partition.kept.tobytes()
                 if key not in scored:
-                    emb, _, nmi_score, acc_score = cluster_scores(
-                        reduced, labels, *clustering
-                    )
-                    scored[key] = (emb, nmi_score, acc_score)
-                emb, record["nmi"], record["acc"] = scored[key]
-                if run_mcfs:
-                    grid_thetas.append((theta, key))
-                    grid_inputs.setdefault(key, (reduced, emb))
+                    scored[key] = score(normalized.subset(partition.kept))
+                record["nmi"], record["acc"], grid = scored[key]
+                mcfs.extend({"theta": theta, **rec} for rec in grid)
             except SfgraphError as exc:
                 record["error"] = str(exc)
             sweep.append(record)
-
-    mcfs: list[dict] = []
-    if run_mcfs:
-        with _stage("mcfs", timings):
-            graded = {
-                key: mcfs_records(matrix, emb, config.mcfs_counts, labels, *clustering)
-                for key, (matrix, emb) in grid_inputs.items()
-            }
-            for theta, key in grid_thetas:
-                mcfs.extend({"theta": theta, **record} for record in graded[key])
 
     timings["total"] = (time.perf_counter() - total_start) * 1000.0
     return {

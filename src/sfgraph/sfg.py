@@ -96,8 +96,7 @@ class SparseFeatureGraph:
 
     def in_degrees(self) -> np.ndarray:
         """Number of stored (nonzero) edges pointing at each node."""
-        csc = self.weights.tocsc()
-        return np.diff(csc.indptr).astype(np.int64)
+        return np.bincount(self.weights.indices, minlength=self.n_nodes)
 
     def max_abs_weight(self) -> float:
         return float(np.max(np.abs(self.weights.data))) if self.weights.nnz else 0.0

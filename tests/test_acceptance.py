@@ -37,7 +37,6 @@ from sfgraph import (
     omp,
     render_report,
     run_pipeline,
-    select_representatives,
     spectral_embedding,
 )
 from sfgraph.cli import main
@@ -139,7 +138,7 @@ def test_a03_planted_duplicate_pairs_collapse_to_one_kept_feature():
         graph = build_sfg(normalized)
         graph = filter_failed(graph, normalized, math.radians(15.0))
         partition = find_lcs(graph, 0.5)
-        kept = set(select_representatives(partition).tolist())
+        kept = set(partition.kept.tolist())
         assert len(truth["duplicates"]) == 10
         for copy, source in truth["duplicates"]:
             in_one_group = any(

@@ -15,9 +15,7 @@ from sfgraph import (
     ParameterError,
     SparseFeatureGraph,
     find_lcs,
-    reduce_matrix,
     save_partition,
-    select_representatives,
 )
 
 
@@ -119,7 +117,7 @@ def test_edge_free_graph_is_all_singletons():
     partition = find_lcs(graph, 0.5)
     assert partition.subgraphs == []
     assert partition.singletons == [0, 1, 2, 3, 4]
-    assert select_representatives(partition).tolist() == [0, 1, 2, 3, 4]
+    assert partition.kept.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_theta_domain():
@@ -183,7 +181,7 @@ def test_lower_theta_only_coarsens_the_partition():
         previous_groups = None
         for theta in (0.9, 0.7, 0.5, 0.3, 0.1):
             partition = find_lcs(graph, theta)
-            kept = select_representatives(partition).size
+            kept = partition.kept.size
             if previous_kept is not None:
                 assert kept <= previous_kept
                 # every earlier group sits inside one current group
@@ -203,7 +201,7 @@ def test_kept_count_identity():
         dense = np.where(mask, rng.uniform(-1.0, 1.0, size=(d, d)), 0.0)
         graph = SparseFeatureGraph(sp.csr_matrix(dense), frozenset())
         partition = find_lcs(graph, 0.4)
-        kept = select_representatives(partition)
+        kept = partition.kept
         removed = sum(len(g) - 1 for g in partition.subgraphs)
         assert kept.size == d - removed
         assert kept.dtype == np.intp
@@ -216,7 +214,7 @@ def test_representative_is_highest_in_degree_lowest_index():
     # group [0, 1]: in-degrees 2 vs 1 -> 0 wins
     # group [2, 3]: in-degrees tie at 1 -> lower index wins
     assert partition.representatives == [0, 2]
-    assert select_representatives(partition).tolist() == [0, 2, 4, 5]
+    assert partition.kept.tolist() == [0, 2, 4, 5]
 
 
 def test_representatives_match_max_in_degree_lowest_index_oracle():
@@ -236,8 +234,7 @@ def test_representatives_match_max_in_degree_lowest_index_oracle():
                 for members in partition.subgraphs
             ]
             assert partition.representatives == expected, (trial, theta)
-            kept = select_representatives(partition)
-            assert kept.tolist() == sorted(expected + partition.singletons)
+            assert partition.kept.tolist() == sorted(expected + partition.singletons)
 
 
 def test_pairwise_duplicates_keep_one_member_each():
@@ -250,38 +247,21 @@ def test_pairwise_duplicates_keep_one_member_each():
     graph = _graph(50, edges)
     partition = find_lcs(graph, 0.5)
     assert len(partition.subgraphs) == 10
-    kept = select_representatives(partition)
+    kept = partition.kept
     assert kept.size == 40
     for t in range(10):
         pair = {t, 20 + t}
         assert len(pair & set(kept.tolist())) == 1
 
 
-def test_reduce_matrix_picks_kept_columns():
+def test_subset_of_the_kept_set_picks_its_columns():
     rng = np.random.default_rng(12)
     features = FeatureMatrix(rng.normal(size=(8, 6)), feature_names=list("abcdef"))
     graph = _graph(6, [(0, 1, 1.0), (1, 0, 1.0)])
-    partition = find_lcs(graph, 0.9)
-    kept = select_representatives(partition)
-    out = reduce_matrix(features, kept)
+    kept = find_lcs(graph, 0.9).kept
+    out = features.subset(kept)
     assert out.n_features == 5
     np.testing.assert_array_equal(out.values, features.values[:, kept])
-
-
-def test_reduce_matrix_range_check():
-    rng = np.random.default_rng(13)
-    features = FeatureMatrix(rng.normal(size=(4, 3)))
-    graph = _graph(6, [(0, 1, 1.0)])
-    partition = find_lcs(graph, 0.9)
-    kept = select_representatives(partition)
-    with pytest.raises(ParameterError):
-        reduce_matrix(features, kept)
-
-
-def test_reduce_matrix_rejects_a_negative_index():
-    features = FeatureMatrix(np.arange(6.0).reshape(2, 3))
-    with pytest.raises(ParameterError, match="-1"):
-        reduce_matrix(features, np.array([0, -1], dtype=np.intp))
 
 
 def test_save_partition_format(tmp_path):
@@ -326,6 +306,10 @@ def test_kept_sets_nest_as_theta_falls(graph):
     d, edges = graph
     g = _graph(d, [(i, j, w) for i, j, w in edges if i != j])
     breakpoints = np.unique(np.abs(g.weights.data) / g.max_abs_weight())[::-1]
-    kept = [set(select_representatives(find_lcs(g, float(t))).tolist()) for t in breakpoints]
+    partitions = [find_lcs(g, float(t)) for t in breakpoints]
+    for p in partitions:
+        # one kept feature per group: each representative and each singleton
+        assert p.kept.tolist() == sorted(p.representatives + p.singletons), p.theta
+    kept = [set(p.kept.tolist()) for p in partitions]
     for theta, higher, lower in zip(breakpoints[1:], kept, kept[1:]):
         assert lower <= higher, theta

@@ -60,6 +60,19 @@ def test_subset_keeps_order_and_names():
     np.testing.assert_array_equal(s.values, m.values[:, [2, 0]])
 
 
+def test_subset_range_check():
+    features = FeatureMatrix(np.random.default_rng(13).normal(size=(4, 3)))
+    with pytest.raises(ParameterError, match="kept index 3 out of range for 3 features"):
+        features.subset([0, 1, 3])
+
+
+def test_subset_rejects_a_negative_index():
+    # a negative index would otherwise count from the end
+    features = FeatureMatrix(np.arange(12.0).reshape(3, 4))
+    with pytest.raises(ParameterError, match="kept index -1 out of range for 4 features"):
+        features.subset([-1])
+
+
 def test_load_csv_without_header(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")

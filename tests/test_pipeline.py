@@ -23,7 +23,6 @@ from sfgraph import (
     normalize_features,
     run_pipeline,
     render_report,
-    select_representatives,
 )
 from sfgraph import pipeline, sfg
 
@@ -147,7 +146,7 @@ def test_a_repeated_kept_set_is_clustered_once(monkeypatch):
     config = _config()
     normalized, _ = normalize_features(matrix)
     filtered = filter_failed(build_sfg(normalized), normalized, np.deg2rad(15.0))
-    kept = [select_representatives(find_lcs(filtered, t)) for t in config.thetas]
+    kept = [find_lcs(filtered, t).kept for t in config.thetas]
     distinct = {k.tobytes() for k in kept}
     assert len(distinct) < len(config.thetas)  # some thetas keep the same set
     assert np.arange(matrix.n_features).tobytes() not in distinct
@@ -213,6 +212,7 @@ def test_pipeline_without_labels_has_null_metrics_and_no_grid():
     assert report["baseline"]["acc"] is None
     assert all(rec["nmi"] is None for rec in report["sweep"])
     assert report["mcfs"] == []
+    assert "mcfs" not in report["timings_ms"]
     assert report["dataset"]["n_label_classes"] is None
 
 
@@ -295,36 +295,38 @@ def test_mcfs_grid_selects_once_per_distinct_kept_set(monkeypatch):
 
 
 @pytest.mark.parametrize("mcfs_counts", [(), (2,)])
-def test_reduced_matrices_are_kept_only_for_the_selection_grid(monkeypatch, mcfs_counts):
+def test_only_the_theta_being_scored_holds_its_reduced_matrix(monkeypatch, mcfs_counts):
     matrix, labels, _ = _synth_dataset(seed=5)
-    reduced = []  # weak references to every theta's reduced values
-    live = []  # how many of them are alive as each matrix is scored
-
-    def tracked_reduce(features, kept):
-        result = pipeline_reduce(features, kept)
-        reduced.append(weakref.ref(result.values))
-        return result
+    scored = []  # weak references to the values of every clustered subset
+    others = []  # how many other subsets are alive as each matrix is clustered
 
     def tracked_scores(features, *args):
-        live.append(sum(ref() is not None for ref in reduced))
+        others.append(
+            sum(ref() is not None and ref() is not features.values for ref in scored)
+        )
+        if features.n_features < matrix.n_features:
+            scored.append(weakref.ref(features.values))
         return cluster_scores(features, *args)
 
-    pipeline_reduce, cluster_scores = pipeline.reduce_matrix, pipeline.cluster_scores
-    monkeypatch.setattr(pipeline, "reduce_matrix", tracked_reduce)
+    cluster_scores = pipeline.cluster_scores
     monkeypatch.setattr(pipeline, "cluster_scores", tracked_scores)
     thetas = (0.9, 0.5, 0.3, 0.1)
     report = run_pipeline(matrix, labels, _config(thetas=thetas, mcfs_counts=mcfs_counts))
     # every theta keeps a set of its own, so the baseline and each theta
     # are scored in turn
     assert [rec["retained"] for rec in report["sweep"]] == [12, 11, 7, 6]
-    assert len(reduced) == len(thetas)
     if mcfs_counts:
-        # the grid reads every theta's reduced matrix after the sweep
-        assert live[:5] == [0, 1, 2, 3, 4]
+        # each selection is clustered while only the matrix it was selected
+        # from is alive: the baseline's, then each theta's reduced matrix
+        assert others == [0, 0] + [0, 1] * len(thetas)
     else:
-        # without it only the theta being scored holds its reduced matrix
-        assert live == [0, 1, 1, 1, 1]
-    assert all(ref() is None for ref in reduced)
+        assert others == [0] * (1 + len(thetas))
+    assert all(ref() is None for ref in scored)
+    # the grid's time is present exactly when a grid ran, and it is part of
+    # the baseline and sweep stages that ran it
+    timings = report["timings_ms"]
+    assert ("mcfs" in timings) == bool(mcfs_counts)
+    assert timings.get("mcfs", 0.0) <= timings["baseline"] + timings["sweep"]
 
 
 def test_a_clustering_pass_holds_one_n_by_n_array():

@@ -6,6 +6,7 @@ projection of a CSV against the reader."""
 
 import argparse
 import csv
+import dataclasses
 import locale
 import re
 
@@ -342,10 +343,15 @@ def _reference_rows(path):
 
 def _reduce(source, out, graph, kept):
     """Run ``reduce`` on ``source`` with a graph of no edges, whose
-    partition is replaced by ``kept``."""
+    partition's kept set is replaced by ``kept``."""
     args = argparse.Namespace(input=str(source), graph=str(graph), theta=1.0, out=str(out))
+    find_lcs = sfgraph.cli.find_lcs
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sfgraph.cli, "select_representatives", lambda partition: np.array(kept))
+        patch.setattr(
+            sfgraph.cli,
+            "find_lcs",
+            lambda *a: dataclasses.replace(find_lcs(*a), kept=np.array(kept)),
+        )
         sfgraph.cli.cmd_reduce(args)
 
 

@@ -260,6 +260,10 @@ def test_in_degrees_match_brute_force():
         graph = SparseFeatureGraph(sp.csr_matrix(dense), frozenset())
         expected = (dense != 0.0).sum(axis=0)
         np.testing.assert_array_equal(graph.in_degrees(), expected)
+        assert graph.in_degrees().dtype == np.int64
+    # nodes past the last edge's target still get a count
+    graph = SparseFeatureGraph(sp.csr_matrix(([1.0], ([1], [0])), shape=(3, 3)), frozenset())
+    assert graph.in_degrees().tolist() == [1, 0, 0]
 
 
 def test_representation_angle_oracle_cases():
