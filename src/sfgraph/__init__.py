@@ -35,6 +35,7 @@ from .matrix import (
     load_labels,
     normalize_features,
     pairwise_euclidean,
+    read_csv,
     save_csv,
     write_columns,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "NumericalError",
     # matrix
     "FeatureMatrix",
+    "read_csv",
     "load_csv",
     "load_labels",
     "save_csv",

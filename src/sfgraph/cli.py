@@ -23,9 +23,9 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionError, SfgraphError
+from .errors import DimensionError, ParameterError, SfgraphError
 from .lcs import find_lcs, save_partition
-from .matrix import load_csv, load_labels, normalize_features, save_csv, write_columns
+from .matrix import load_csv, load_labels, normalize_features, read_csv, save_csv, write_columns
 from .pipeline import (
     DEFAULT_THETAS,
     PipelineConfig,
@@ -162,18 +162,20 @@ def cmd_lcs(args) -> int:
 
 def cmd_reduce(args) -> int:
     """Write the --input columns that the --graph's partition at --theta
-    keeps.  The graph, the smaller file, is read first; ``load_csv`` then
-    parses and checks every cell, and ``write_columns`` copies the kept
-    cells' text, stripped, instead of formatting their values."""
+    keeps.  An --out naming the --input is refused, then the graph, the
+    smaller file, is read; ``read_csv`` reads and checks the CSV once, and
+    ``write_columns`` copies the kept cells' text, stripped, from that read."""
+    if os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+        raise ParameterError(f"{args.out}: cannot overwrite the input file it projects")
     graph = load_sfg(args.graph)
-    features = load_csv(args.input)
+    features, rows = read_csv(args.input)
     if graph.n_nodes != features.n_features:
         raise DimensionError(
             f"graph has {graph.n_nodes} nodes but dataset has "
             f"{features.n_features} features"
         )
     kept = find_lcs(graph, args.theta).kept
-    write_columns(args.input, args.out, features, kept)
+    write_columns(args.out, features, rows, kept)
     print(f"kept {kept.size} of {features.n_features} features -> {args.out}")
     return 0
 

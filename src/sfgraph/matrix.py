@@ -6,26 +6,30 @@ package walk whole feature columns.
 
 ``save_csv`` writes shortest round-trip floats (``repr``) and CRLF line
 endings, with header names quoted as the ``csv`` module quotes them.
-``write_columns`` writes a column subset of a loaded file by copying the
-kept cells' text, stripped, in the same layout, so a file ``save_csv``
-wrote projects to the bytes ``save_csv`` writes for the subset.
-Every cell is read as ``float()`` reads it after stripping surrounding
-whitespace.  The header row is read with the ``csv`` module and the body is
-converted in one pass by numpy's C tokenizer, which strips the same
-whitespace and parses with the routine behind ``float()``.  A file it
-rejects is read cell by cell with ``csv`` and ``float()``, so the files
-accepted, their values and every message are those of the cell-by-cell
-reader; only a file that fails there too is scanned row by row to name its
-first faulty row or cell.
+``read_csv`` reads a file's bytes once, for its matrix and its body rows'
+cell text; ``write_columns`` copies a column subset of those rows,
+stripped, in ``save_csv``'s layout, so a file ``save_csv`` wrote projects
+to the bytes ``save_csv`` writes for the subset.  Every cell is read as
+``float()`` reads it after stripping surrounding whitespace, the header
+with the ``csv`` module.  An ASCII body with no cell over ``csv``'s field
+size limit goes to numpy's C tokenizer as one buffer; it strips the same
+whitespace and parses with the routine behind ``float()``.  Any other
+file, and any the tokenizer rejects, is read cell by cell with ``csv`` and
+``float()``, which decides the files accepted, their values and every
+message; only a file that fails there too is scanned row by row to name
+its first faulty row or cell.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import operator
 import os
+import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -43,6 +47,7 @@ NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 __all__ = [
     "FeatureMatrix",
+    "read_csv",
     "load_csv",
     "load_labels",
     "save_csv",
@@ -146,41 +151,41 @@ def _header(row: list[str]) -> list[str] | None:
     return cells if any(_parse_cell(c) is None for c in cells) else None
 
 
-def _within_field_limit(lines):
-    """``lines``, ending in ``ValueError`` at a line holding a cell longer
-    than ``csv``'s field size limit, which the ``csv`` module rejects."""
-    limit = csv.field_size_limit()
-    for line in lines:
-        if len(line) > limit and max(map(len, line.split(","))) > limit:
-            raise ValueError("field larger than field limit")
-        yield line
-
-
-def _read_with_numpy(path) -> tuple[list[str] | None, np.ndarray] | None:
-    """The header and values of ``path`` as numpy's tokenizer reads them, or
-    ``None`` when the file needs the cell-by-cell reader: a cell that
-    ``loadtxt`` rejects, a ragged row, an empty body, a non-finite value or
-    a header of another width."""
+def _read_buffer(raw: bytes):
+    """The header, values and body rows of the file bytes ``raw`` as numpy's
+    tokenizer reads the body in one buffer, or ``None`` for the cell reader:
+    a body that is not ASCII or holds a cell over ``csv``'s field size
+    limit, a cell that ``loadtxt`` rejects (a lone CR line end among them),
+    a ragged row, an empty body, a non-finite value or a header of another
+    width."""
     try:
-        with open(path, newline="") as fh:
-            first = next((row for row in csv.reader(fh) if row), None)
-            if first is None:
-                return None
-            header = _header(first)
-            if header is None:
-                fh.seek(0)
-            with warnings.catch_warnings():
-                # An empty body warns "input contained no data" and falls back.
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(
-                    _within_field_limit(fh),
-                    delimiter=",",
-                    comments=None,
-                    quotechar=None,
-                    dtype=np.float64,
-                    ndmin=2,
-                )
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
+        first = next(filter(None, reader), None)
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError.
+        return None
+    if first is None:
+        return None
+    header = _header(first)
+    start = 0
+    if header is not None:  # past the header's last line, as text mode splits lines
+        ends = re.finditer(rb"\r\n?|\n|\Z", raw)
+        start = next(itertools.islice(ends, reader.line_num - 1, None)).end()
+    if not raw.isascii() and not raw[start:].isascii():
+        return None
+    body = io.BytesIO(raw)
+    body.seek(start)
+    limit = csv.field_size_limit()
+    if any(len(line) > limit and max(map(len, line.split(b","))) > limit for line in body):
+        return None
+    body.seek(start)
+    try:
+        with warnings.catch_warnings():
+            # An empty body warns "input contained no data" and falls back.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                body, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2
+            )
+    except ValueError:
         return None
     if (
         values.size == 0
@@ -188,18 +193,20 @@ def _read_with_numpy(path) -> tuple[list[str] | None, np.ndarray] | None:
         or (header is not None and len(header) != values.shape[1])
     ):
         return None
-    return header, values
+    body.seek(start)  # csv's rows of an accepted body: its non-blank lines split at commas
+    lines = (line.rstrip(b"\r\n") for line in body)
+    return header, values, (line.decode("ascii").split(",") for line in lines if line)
 
 
-def _read_cells(path) -> tuple[list[str] | None, np.ndarray]:
-    """The header and values of ``path``, read cell by cell with ``csv``
-    and ``float()``; the first fault raises."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(_text_lines(fh, path))
-        try:
-            numbered = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}") from None
+def _read_cells(path, raw: bytes):
+    """The header, values and body rows of the file bytes ``raw``, read
+    cell by cell with ``csv`` and ``float()``, decoded as ``open`` decodes
+    the file; the first fault raises."""
+    reader = csv.reader(_text_lines(io.TextIOWrapper(io.BytesIO(raw), newline=""), path))
+    try:
+        numbered = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not numbered:
         raise ParseError(f"{path}: empty file")
     line_nos, rows = zip(*numbered)
@@ -234,7 +241,24 @@ def _read_cells(path) -> tuple[list[str] | None, np.ndarray]:
             f"{path}: non-finite cell at row {line_nos[r]}, column {c}: "
             f"{data_rows[r][c]!r}"
         )
-    return header, parsed
+    return header, parsed, data_rows
+
+
+def read_csv(path) -> tuple[FeatureMatrix, Iterator[list[str]]]:
+    """The :func:`load_csv` matrix of a CSV file, read once, and a one-pass
+    iterator over its body rows as ``csv`` splits them, for
+    :func:`write_columns`; the iterator may hold the file's bytes.  Raises
+    what :func:`load_csv` raises."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    table = _read_buffer(raw)
+    header, parsed, rows = table if table is not None else _read_cells(path, raw)
+    if parsed.shape[0] < 2 or parsed.shape[1] < 2:
+        raise DimensionError(
+            f"{path}: need at least 2 samples and 2 features, "
+            f"got {parsed.shape[0]}x{parsed.shape[1]}"
+        )
+    return FeatureMatrix(parsed, tuple(header) if header is not None else None), iter(rows)
 
 
 def load_csv(path) -> FeatureMatrix:
@@ -245,9 +269,9 @@ def load_csv(path) -> FeatureMatrix:
     Every column is a feature: class labels come from a separate file, read
     by :func:`load_labels`.
 
-    The body is converted by numpy's C tokenizer in one pass; a file it
-    rejects is read cell by cell with ``csv`` and ``float()``.  Either way
-    the files accepted, the values and the messages are the same.
+    The file's bytes are read once.  An ASCII body with no cell over
+    ``csv``'s field size limit goes to numpy's C tokenizer as one buffer;
+    the cell-by-cell reader decides every other file and every message.
 
     Raises
     ------
@@ -260,14 +284,7 @@ def load_csv(path) -> FeatureMatrix:
     DimensionError
         Fewer than 2 samples or fewer than 2 feature columns.
     """
-    table = _read_with_numpy(path)
-    header, parsed = table if table is not None else _read_cells(path)
-    if parsed.shape[0] < 2 or parsed.shape[1] < 2:
-        raise DimensionError(
-            f"{path}: need at least 2 samples and 2 features, "
-            f"got {parsed.shape[0]}x{parsed.shape[1]}"
-        )
-    return FeatureMatrix(parsed, tuple(header) if header is not None else None)
+    return read_csv(path)[0]
 
 
 def load_labels(path) -> np.ndarray:
@@ -303,16 +320,15 @@ def save_csv(path, matrix: FeatureMatrix) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.values.tolist())
 
 
-def write_columns(source, out, matrix: FeatureMatrix, columns) -> None:
-    """Write the ``columns`` of the CSV file ``source`` to ``out``, in order,
-    by copying their cells' text instead of formatting the values.
+def write_columns(out, matrix: FeatureMatrix, rows, columns) -> None:
+    """Write the ``columns`` of a CSV file to ``out``, in order, by copying
+    their cells' text instead of formatting the values.
 
-    ``matrix`` is what ``load_csv(source)`` returned, so every cell has
-    been parsed and checked.  ``source`` is split again with ``csv``, as
-    ``load_csv`` splits it, and blank rows are skipped.  When ``matrix``
-    has names, its header row is skipped and the kept names are written
-    with ``csv.writer``; each body row is written as its kept cells,
-    stripped, joined by commas and ended by CRLF.  A cell that is
+    ``matrix`` and ``rows`` are what :func:`read_csv` returned for the
+    file, so every cell has been parsed and checked, and the file is not
+    read again.  When ``matrix`` has names, the kept names are written with
+    ``csv.writer``; each body row is written as its kept cells, stripped,
+    joined by commas and ended by CRLF.  A cell that is
     ``repr(float(cell))`` is copied as it stands, so the output of a file
     that ``save_csv`` wrote is the bytes ``save_csv`` writes for the
     subset; any other cell keeps its own spelling (``1e3``, ``+0.5``,
@@ -321,55 +337,26 @@ def write_columns(source, out, matrix: FeatureMatrix, columns) -> None:
     Raises
     ------
     ParameterError
-        A column index outside ``[0, n_features)``, or ``out`` is
-        ``source`` itself, which opening ``out`` would empty before it is
-        read.
-    ParseError
-        ``source`` is no longer valid text or CSV.
-    DataError
-        A row of ``source`` whose width, or a row count, differs from
-        ``matrix``: the file changed after it was loaded.  ``out`` is
-        removed whenever the call fails after creating it.
+        A column index outside ``[0, n_features)``, before ``out`` is
+        opened.
+    OSError
+        ``out`` cannot be written; it is removed whenever the call fails
+        after creating it.
     """
-    n, d = matrix.values.shape
+    d = matrix.n_features
     columns = [int(j) for j in columns]
     outside = [j for j in columns if not 0 <= j < d]
     if outside:
         raise ParameterError(f"kept index {outside[0]} out of range for {d} features")
-    if os.path.exists(out) and os.path.samefile(source, out):
-        raise ParameterError(f"{out}: cannot overwrite the input file it projects")
     if len(columns) > 1:
         take = operator.itemgetter(*columns)
     else:  # one index would give the cell itself, not a sequence of one
         take = operator.itemgetter(slice(columns[0], columns[0] + 1))
-
-    def rows(reader):
-        """The non-blank rows of ``reader``, each checked against ``d``."""
+    with open(out, "w", newline="") as dst:
         try:
-            for row in filter(None, reader):
-                if len(row) != d:
-                    raise DataError(
-                        f"{source}: row {reader.line_num} has {len(row)} cells, "
-                        f"but the loaded matrix has {d} features"
-                    )
-                yield row
-        except csv.Error as exc:
-            raise ParseError(f"{source}: {exc}") from None
-
-    with open(source, newline="") as src, open(out, "w", newline="") as dst:
-        try:
-            body = rows(csv.reader(_text_lines(src, source)))
             if matrix.feature_names is not None:
-                next(body, None)
                 csv.writer(dst).writerow([matrix.feature_names[j] for j in columns])
-            written = 0
-            for row in body:
-                dst.write(",".join(map(str.strip, take(row))) + "\r\n")
-                written += 1
-            if written != n:
-                raise DataError(
-                    f"{source}: {written} data rows, but the loaded matrix has {n} samples"
-                )
+            dst.writelines(",".join(map(str.strip, take(row))) + "\r\n" for row in rows)
         except BaseException:
             dst.close()
             os.remove(out)

@@ -1,5 +1,7 @@
 """Tests for the command line interface: subcommands, files, exit codes."""
 
+import builtins
+import errno
 import json
 import locale
 import os
@@ -14,7 +16,6 @@ import pytest
 import sfgraph.cli
 import sfgraph.pipeline
 from sfgraph import (
-    FeatureMatrix,
     NumericalError,
     SfgraphError,
     load_csv,
@@ -281,29 +282,78 @@ def test_lcs_and_reduce_agree_on_kept_features(tmp_path, capsys):
     assert reduced.n_features == 10 - dropped
 
 
-@pytest.mark.parametrize(
-    "shape, problem",
-    [
-        ((5, 3), "4 data rows, but the loaded matrix has 5 samples"),
-        ((3, 3), "4 data rows, but the loaded matrix has 3 samples"),
-        ((4, 2), "row 1 has 3 cells, but the loaded matrix has 2 features"),
-    ],
-    ids=["more-samples", "fewer-samples", "fewer-features"],
-)
-def test_reduce_of_a_csv_that_changed_after_loading_writes_nothing(
-    tmp_path, monkeypatch, capsys, shape, problem
-):
-    data = tmp_path / "data.csv"
-    data.write_text("1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
+def _reduce_inputs(tmp_path):
+    """A dataset, its saved graph and the argv of ``reduce`` on them at θ 0.5."""
+    data, _ = _make_dataset(tmp_path)
     graph = tmp_path / "graph.tsv"
-    graph.write_text(f"# sfg d={shape[1]} failed=\n")
-    # the loaded matrix stands for the file as it was at the first read
-    monkeypatch.setattr(sfgraph.cli, "load_csv", lambda path: FeatureMatrix(np.ones(shape)))
+    assert main(["sfg", "--input", str(data), "--out", str(graph)]) == 0
+    return data, ["reduce", "--input", str(data), "--graph", str(graph), "--theta", "0.5"]
+
+
+def test_reduce_opens_its_input_once(tmp_path, monkeypatch):
+    data, argv = _reduce_inputs(tmp_path)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == str(data):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([*argv, "--out", str(tmp_path / "reduced.csv")]) == 0
+    assert len(opened) == 1
+
+
+class _FullDisk:
+    """A file opened for writing whose writes after the first fail as on a
+    full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def close(self):
+        self._fh.close()
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_reduce_that_cannot_write_its_output_leaves_no_file(tmp_path, monkeypatch, capsys):
+    _, argv = _reduce_inputs(tmp_path)
     out = tmp_path / "reduced.csv"
-    argv = ["reduce", "--input", str(data), "--graph", str(graph), "--theta", "0.5"]
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if file == str(out) else fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_open)
     assert main([*argv, "--out", str(out)]) == 2
-    assert problem in capsys.readouterr().err
+    assert "No space left on device" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reduce_refuses_to_overwrite_its_input(tmp_path, capsys):
+    data, argv = _reduce_inputs(tmp_path)
+    before = data.read_bytes()
+    assert main([*argv, "--out", str(data.parent / "." / data.name)]) == 1
+    assert "cannot overwrite the input file" in capsys.readouterr().err
+    assert data.read_bytes() == before
 
 
 @pytest.mark.parametrize("text", [None, "foo=bar\n"], ids=["missing", "malformed"])
@@ -311,7 +361,7 @@ def test_reduce_reads_the_graph_before_the_csv(tmp_path, monkeypatch, capsys, te
     def never(path):
         raise AssertionError("the CSV may not be parsed before the graph")
 
-    monkeypatch.setattr(sfgraph.cli, "load_csv", never)
+    monkeypatch.setattr(sfgraph.cli, "read_csv", never)
     graph = tmp_path / "graph.tsv"
     if text is not None:
         graph.write_text(text)

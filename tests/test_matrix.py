@@ -23,10 +23,11 @@ from sfgraph import (
     mcfs_select,
     normalize_features,
     pairwise_euclidean,
+    read_csv,
     save_csv,
     write_columns,
 )
-from sfgraph.matrix import BLOCK_BYTES
+from sfgraph.matrix import BLOCK_BYTES, _read_buffer, _read_cells
 from sfgraph.omp import UNIT_NORM_TOL
 
 
@@ -189,6 +190,78 @@ def test_load_csv_keeps_the_csv_field_size_limit(tmp_path):
     np.testing.assert_array_equal(load_csv(path).values, [[1, 2], [3, 4]])
 
 
+_UTF8 = pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="the files below are written as UTF-8",
+)
+
+
+def _read_both_routes(path):
+    """``read_csv``'s matrix and rows, and the cell reader's own table."""
+    matrix, rows = read_csv(path)
+    return (matrix, list(rows)), _read_cells(path, path.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "text, buffered",
+    [
+        (b"a,b\n1,2\n3,4\n", True),
+        (b"a,b\r\n1,2\r\n3,4\r\n", True),
+        (b"a,b\r1,2\r3,4\r", False),  # loadtxt rejects a lone CR in a buffer
+        (b"\n1,2\n\n \t3 ,4\r\n\r\n5,6\n", True),
+        (b'"x,\r\ny",z\r\n\r\n1,2\r\n3,4\r\n', True),
+    ],
+    ids=["lf", "crlf", "lone-cr", "blank-lines", "two-line-header"],
+)
+def test_both_routes_read_the_cell_readers_values_and_rows(tmp_path, text, buffered):
+    path = tmp_path / "routes.csv"
+    path.write_bytes(text)
+    assert (_read_buffer(text) is not None) == buffered
+    (matrix, rows), (header, values, cell_rows) = _read_both_routes(path)
+    assert matrix.values.tobytes() == values.tobytes()
+    assert matrix.feature_names == (tuple(header) if header is not None else None)
+    assert rows == [list(row) for row in cell_rows]
+
+
+@_UTF8
+@pytest.mark.parametrize(
+    "text", ["a,b\n1,\u00a02\u00a0\n3,4\n", "\u0661,2\n3,\u0664\n"], ids=["nbsp", "arabic-indic"]
+)
+def test_a_body_that_is_not_ascii_is_read_cell_by_cell(tmp_path, text):
+    path = tmp_path / "unicode.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_buffer(path.read_bytes()) is None
+    (matrix, rows), (_, values, cell_rows) = _read_both_routes(path)
+    np.testing.assert_array_equal(matrix.values, [[1, 2], [3, 4]])
+    assert matrix.values.tobytes() == values.tobytes()
+    assert rows == [list(row) for row in cell_rows]
+
+
+@_UTF8
+def test_a_header_that_is_not_ascii_keeps_the_buffer_route(tmp_path):
+    path = tmp_path / "names.csv"
+    path.write_bytes("\u00e9t\u00e9,\u0628\n1,2\n3,4\n".encode("utf-8"))
+    table = _read_buffer(path.read_bytes())
+    assert table is not None and table[0] == ["\u00e9t\u00e9", "\u0628"]
+    matrix, rows = read_csv(path)
+    assert matrix.feature_names == ("\u00e9t\u00e9", "\u0628")
+    assert list(rows) == [["1", "2"], ["3", "4"]]
+
+
+@pytest.mark.parametrize("header", ["", "a,b\n"], ids=["no-header", "header"])
+def test_a_cell_over_the_field_size_limit_is_the_cell_readers_error(tmp_path, header):
+    path = tmp_path / "long.csv"
+    path.write_text(header + "1,2\n3," + " " * 20 + "4\n")
+    default = csv.field_size_limit(16)
+    try:
+        assert _read_buffer(path.read_bytes()) is None
+        with pytest.raises(ParseError) as err:
+            read_csv(path)
+    finally:
+        csv.field_size_limit(default)
+    assert str(err.value) == f"{path}: field larger than field limit (16)"
+
+
 def test_save_load_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     original = FeatureMatrix(rng.normal(size=(5, 4)), feature_names=list("wxyz"))
@@ -224,8 +297,8 @@ def test_save_csv_writes_shortest_round_trip_floats(tmp_path):
 def test_write_columns_copies_the_kept_cells_stripped(tmp_path, text, kept, expected):
     source, out = tmp_path / "in.csv", tmp_path / "out.csv"
     source.write_text(text)
-    matrix = load_csv(source)
-    write_columns(source, out, matrix, kept)
+    matrix, rows = read_csv(source)
+    write_columns(out, matrix, rows, kept)
     assert out.read_bytes() == expected.encode()
     # A one-column file is below load_csv's 2 features: read it with csv.
     with open(out, newline="") as fh:
@@ -241,16 +314,8 @@ def test_write_columns_rejects_an_index_out_of_range(tmp_path, kept):
     source, out = tmp_path / "in.csv", tmp_path / "out.csv"
     source.write_text("1,2,3\n4,5,6\n")
     with pytest.raises(ParameterError, match="out of range for 3 features"):
-        write_columns(source, out, load_csv(source), kept)
+        write_columns(out, *read_csv(source), kept)
     assert not out.exists()
-
-
-def test_write_columns_refuses_to_overwrite_its_source(tmp_path):
-    source = tmp_path / "in.csv"
-    source.write_text("1,2\n3,4\n")
-    with pytest.raises(ParameterError, match="cannot overwrite the input"):
-        write_columns(source, tmp_path / "." / "in.csv", load_csv(source), [0])
-    assert source.read_text() == "1,2\n3,4\n"
 
 
 def test_load_labels(tmp_path):
