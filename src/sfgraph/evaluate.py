@@ -12,9 +12,9 @@ Memory grows as n^2 in one place only: the similarity weights, the
 distances turned into the kernel in place.  The eigensolver applies the
 normalized matrix as an operator on those weights and never forms it, so a
 clustering pass holds one n x n float64 array: 8 MB at n = 1000, 800 MB at
-n = 10^4.  k-means runs its restarts in groups sized so that a group's
-(restarts, n, max(k, dim)) float64 block fits ``BLOCK_BYTES``; beyond its
-inputs it holds five arrays of at most that size, 1.25 MB in all.
+n = 10^4.  k-means runs all its restarts in lockstep; beyond its inputs it
+holds five (restarts, n, max(k, dim)) arrays of 8-byte values, 4 MB in all
+for 10 restarts at n = 1000 and k = dim = 10.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .matrix import BLOCK_BYTES, FeatureMatrix, pairwise_euclidean
+from .matrix import FeatureMatrix, pairwise_euclidean
 from .omp import GramRows, _pursue
 
 __all__ = [
@@ -331,10 +331,10 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     Runs ``restarts`` independent fits from deterministic per-restart RNG
     streams, ``default_rng([seed, r])`` for restart r, and returns the one
     with the lowest objective (earliest restart wins ties), so results are
-    reproducible for a given ``seed``.  The restarts run in lockstep, in
-    groups whose (restarts, n, max(k, dim)) float64 block fits
-    ``BLOCK_BYTES``; every restart takes the same steps, and gets the same
-    bits, as it would alone.
+    reproducible for a given ``seed``.  All the restarts run in lockstep,
+    as one `_fit_group` whose work arrays are (restarts, n, max(k, dim));
+    every restart takes the same steps, and gets the same bits, as it would
+    alone.
 
     Squared point-to-center distances, in the seeding and in every Lloyd
     round, are ``|x|^2 + |c|^2 - 2 x.c``, clipped at 0, with the points'
@@ -349,7 +349,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     x = np.ascontiguousarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected 2-D points, got {x.ndim}-D")
-    n, dim = x.shape
+    n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must lie in [1, {n}] for {n} points, got {k}")
     if restarts < 1:
@@ -357,18 +357,13 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     _check_finite_rows(x, "point")
-    x_sq = np.sum(x**2, axis=1)
-    group = max(1, BLOCK_BYTES // (8 * n * max(k, dim)))
-    best: KMeansResult | None = None
-    for first in range(0, restarts, group):
-        rngs = [
-            np.random.Generator(np.random.PCG64(_restart_seed(int(seed), r)))
-            for r in range(first, min(first + group, restarts))
-        ]
-        for fit in _fit_group(x, x_sq, k, rngs):
-            if best is None or fit.inertia < best.inertia:
-                best = fit
-    return best
+    rngs = [
+        np.random.Generator(np.random.PCG64(_restart_seed(int(seed), r)))
+        for r in range(restarts)
+    ]
+    fits = _fit_group(x, np.sum(x**2, axis=1), k, rngs)
+    # min keeps the first of equal inertias: the earliest restart wins ties.
+    return min(fits, key=lambda fit: fit.inertia)
 
 
 def njw_cluster(

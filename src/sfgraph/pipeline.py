@@ -108,14 +108,16 @@ def cluster_scores(matrix: FeatureMatrix, labels, k: int, seed: int, restarts: i
 
     ``sigma`` is the kernel width, the mean pairwise sample distance.
     Without ``labels`` only the embedding is computed and both scores are
-    None.
+    None.  The n x n similarity weights are released once the embedding is
+    found, so k-means's scratch never sits next to them.
     """
     sim = gaussian_similarity(matrix)
-    emb = spectral_embedding(sim, k)
+    emb, sigma = spectral_embedding(sim, k), sim.sigma
+    del sim
     if labels is None:
-        return emb, sim.sigma, None, None
+        return emb, sigma, None, None
     pred = njw_cluster(emb, k, seed=seed, restarts=restarts)
-    return emb, sim.sigma, float(nmi(labels, pred)), float(acc(labels, pred))
+    return emb, sigma, float(nmi(labels, pred)), float(acc(labels, pred))
 
 
 def mcfs_records(

@@ -50,9 +50,6 @@ ANGLE_BINS = 18
 # The first line of a graph file, as save_sfg writes it: the node count and
 # the comma-separated failed node ids, possibly none.
 _HEADER = re.compile(r"# sfg d=(?P<d>[0-9]+) failed=(?P<failed>[0-9]+(?:,[0-9]+)*|)")
-# The leave-one-out fits run in lockstep batches of as many targets as keep
-# a (targets, d) float64 array within this budget, at least one.
-BATCH_BYTES = BLOCK_BYTES
 
 
 @dataclass
@@ -143,8 +140,9 @@ def build_sfg(
     ``MemoryError`` propagates, and the command line exits 2 with "not
     enough memory".  The fits run in lockstep batches (``omp._pursue``) of
     as many columns as keep a (columns, d) float64 array within
-    ``BATCH_BYTES``, 53 at d = 614: a batch's scratch beyond the Gram matrix
-    is a few such arrays, and its P rows, one per atom of its live fits.
+    ``matrix.BLOCK_BYTES``, at least one, 53 at d = 614: a batch's scratch
+    beyond the Gram matrix is a few such arrays, and its P rows, one per
+    atom of its live fits.
     ``n_jobs`` > 1 hands whole batches to a thread pool that only reads the
     Gram matrix; a fit has the same bits in any batch, so the result is
     identical for any job count.
@@ -157,7 +155,7 @@ def build_sfg(
 
     gram = GramRows(values)
     live = np.flatnonzero(~gram.zero)
-    step = max(1, BATCH_BYTES // (8 * d))
+    step = max(1, BLOCK_BYTES // (8 * d))
     batches = [live[i : i + step] for i in range(0, live.size, step)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:

@@ -402,12 +402,13 @@ def _reference_plus_plus_init(x, k, rng):
     return centers
 
 
-def _reference_lloyd(x, k, rng, splits):
-    """Lloyd's loop with one boolean mask and ``mean`` per cluster; every
-    empty-cluster split is appended to ``splits``."""
+def _reference_lloyd(x, k, rng, splits, max_iter):
+    """Lloyd's loop of at most ``max_iter`` rounds with one boolean mask and
+    ``mean`` per cluster; every empty-cluster split is appended to
+    ``splits``."""
     centers = _reference_plus_plus_init(x, k, rng)
     trace = []
-    for it in range(300):
+    for it in range(max_iter):
         d2 = (
             np.sum(x**2, axis=1)[:, None]
             + np.sum(centers**2, axis=1)[None, :]
@@ -434,13 +435,24 @@ def _reference_lloyd(x, k, rng, splits):
     return labels, centers, np.asarray(trace)
 
 
-def _reference_kmeans(x, k, seed, restarts, splits):
+def _reference_kmeans(x, k, seed, restarts, splits, max_iter=300):
     best = None
     for r in range(restarts):
-        fit = _reference_lloyd(x, k, np.random.default_rng([seed, r]), splits)
+        fit = _reference_lloyd(x, k, np.random.default_rng([seed, r]), splits, max_iter)
         if best is None or fit[2][-1] < best[2][-1]:
             best = fit
     return best
+
+
+def _assert_kmeans_is_the_loop(x, k, seed, restarts, splits, max_iter=300):
+    """kmeans's result has the bits of `_reference_kmeans`'s."""
+    labels, centers, trace = _reference_kmeans(x, k, seed, restarts, splits, max_iter)
+    result = kmeans(x, k, seed=seed, restarts=restarts)
+    np.testing.assert_array_equal(result.labels, labels)
+    assert result.centers.tobytes() == centers.tobytes(), seed
+    assert result.objective_trace.tobytes() == trace.tobytes(), seed
+    assert result.n_iter == len(trace) <= max_iter
+    assert result.inertia == trace[-1]
 
 
 def _oracle_points(case, rng, n_range=(12, 160), dim_range=(2, 13)):
@@ -468,60 +480,47 @@ def test_kmeans_matches_the_per_cluster_mean_loop_bit_for_bit():
         x = _oracle_points(case, rng)
         k = int(rng.integers(1, min(12, x.shape[0]) + 1))
         restarts = int(rng.integers(1, 4))
-        labels, centers, trace = _reference_kmeans(x, k, case, restarts, splits)
-        result = kmeans(x, k, seed=case, restarts=restarts)
-        np.testing.assert_array_equal(result.labels, labels)
-        assert result.centers.tobytes() == centers.tobytes(), case
-        assert result.objective_trace.tobytes() == trace.tobytes(), case
-        assert result.n_iter == len(trace)
-        assert result.inertia == trace[-1]
+        _assert_kmeans_is_the_loop(x, k, case, restarts, splits)
     assert splits, "no case reached the empty-cluster split"
 
 
-def _same_fit(a, b):
-    return (
-        a.labels.tobytes() == b.labels.tobytes()
-        and a.centers.tobytes() == b.centers.tobytes()
-        and a.objective_trace.tobytes() == b.objective_trace.tobytes()
-        and a.n_iter == b.n_iter
-    )
-
-
-def test_kmeans_restarts_across_several_groups_match_the_loop_bit_for_bit():
-    # At n ~ 1000 and dim = k = 10 a group holds 3 restarts of the 10.
+def test_kmeans_many_restarts_at_n_near_1000_match_the_loop_bit_for_bit():
     rng = np.random.default_rng(77)
     splits = []
     for case in range(8):
         x = _oracle_points(case, rng, n_range=(900, 1100), dim_range=(10, 11))
-        restarts = int(rng.integers(4, 11))
-        assert BLOCK_BYTES // (8 * x.shape[0] * 10) < restarts
-        labels, centers, trace = _reference_kmeans(x, 10, case, restarts, splits)
-        result = kmeans(x, 10, seed=case, restarts=restarts)
-        np.testing.assert_array_equal(result.labels, labels)
-        assert result.centers.tobytes() == centers.tobytes(), case
-        assert result.objective_trace.tobytes() == trace.tobytes(), case
-        assert result.n_iter == len(trace)
+        _assert_kmeans_is_the_loop(x, 10, case, int(rng.integers(4, 11)), splits)
     assert splits, "no case reached the empty-cluster split"
 
 
 @pytest.mark.parametrize("max_iter", [evaluate.KMEANS_MAX_ITER, 2, 4])
-def test_kmeans_bits_do_not_depend_on_the_restart_group_size(monkeypatch, max_iter):
+def test_kmeans_matches_the_loop_bit_for_bit_at_any_round_limit(monkeypatch, max_iter):
     # A small round limit stops some restarts at the limit in the round
     # where others converge.
     monkeypatch.setattr(evaluate, "KMEANS_MAX_ITER", max_iter)
     rng = np.random.default_rng(78)
-    cases = []
+    splits = []
     for case in range(24):
         x = _oracle_points(case, rng)
         k = int(rng.integers(1, min(12, x.shape[0]) + 1))
-        cases.append((x, k, case, int(rng.integers(1, 11))))
-    default = [kmeans(x, k, seed=s, restarts=r) for x, k, s, r in cases]
-    for (x, k, s, r), want in zip(cases, default):
-        three = 3 * 8 * x.shape[0] * max(k, x.shape[1])
-        # Groups of one restart, of three (the last one shorter), of all.
-        for budget in (8, three, 1 << 40):
-            monkeypatch.setattr(evaluate, "BLOCK_BYTES", budget)
-            assert _same_fit(kmeans(x, k, seed=s, restarts=r), want), (budget, s)
+        _assert_kmeans_is_the_loop(x, k, case, int(rng.integers(1, 11)), splits, max_iter)
+    assert splits, "no case reached the empty-cluster split"
+
+
+def test_kmeans_fits_all_restarts_in_one_group(monkeypatch):
+    # n = 1000 and k = dim = 10: every restart joins the one lockstep group,
+    # with its own stream, in restart order.
+    calls = []
+
+    def spy(x, x_sq, k, rngs):
+        calls.append([rng.bit_generator.state for rng in rngs])
+        return fit_group(x, x_sq, k, rngs)
+
+    fit_group = evaluate._fit_group
+    monkeypatch.setattr(evaluate, "_fit_group", spy)
+    x = np.random.default_rng(79).normal(size=(1000, 10))
+    kmeans(x, 10, seed=3, restarts=10)
+    assert calls == [[np.random.default_rng([3, r]).bit_generator.state for r in range(10)]]
 
 
 def test_cached_restart_seeds_give_the_default_rng_streams():

@@ -329,15 +329,37 @@ def test_only_the_theta_being_scored_holds_its_reduced_matrix(monkeypatch, mcfs_
     assert timings.get("mcfs", 0.0) <= timings["baseline"] + timings["sweep"]
 
 
+def test_cluster_scores_holds_no_similarity_during_kmeans(monkeypatch):
+    matrix, labels, _ = _synth_dataset(seed=8)
+    weights = []  # a weak reference to each similarity's weights
+    alive = []  # whether those weights live as each clustering starts
+
+    def tracked_similarity(features):
+        graph = gaussian_similarity(features)
+        weights.append(weakref.ref(graph.weights))
+        return graph
+
+    def tracked_njw(*args, **kwargs):
+        alive.append(weights[-1]() is not None)
+        return njw_cluster(*args, **kwargs)
+
+    gaussian_similarity, njw_cluster = pipeline.gaussian_similarity, pipeline.njw_cluster
+    monkeypatch.setattr(pipeline, "gaussian_similarity", tracked_similarity)
+    monkeypatch.setattr(pipeline, "njw_cluster", tracked_njw)
+    pipeline.cluster_scores(matrix, labels, 3, 0, 10)
+    assert alive == [False]
+
+
 def test_a_clustering_pass_holds_one_n_by_n_array():
-    # the distances become the weights in place, and the eigensolver
-    # applies the normalized matrix to them without forming it
+    # the distances become the weights in place, the eigensolver applies the
+    # normalized matrix to them without forming it, and they are released
+    # before k-means allocates its restarts' scratch (4 MB here)
     n = 1000
     features = FeatureMatrix(np.random.default_rng(23).normal(size=(n, 16)))
     labels = np.arange(n) % 10
     tracemalloc.start()
     try:
-        pipeline.cluster_scores(features, labels, 10, 0, 2)
+        pipeline.cluster_scores(features, labels, 10, 0, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

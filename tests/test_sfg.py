@@ -242,13 +242,27 @@ def test_lockstep_batches_of_any_size_give_the_same_graph_bits(monkeypatch):
     assert d % 3
     graphs = []
     for targets, jobs in ((1, 1), (3, 1), (3, 4), (d, 1)):
-        monkeypatch.setattr(sfg, "BATCH_BYTES", 8 * d * targets)
+        monkeypatch.setattr(sfg, "BLOCK_BYTES", 8 * d * targets)
         graphs.append(build_sfg(features, n_jobs=jobs))
     reasons = set(graphs[0].stop_reasons.tolist())
     assert {"converged", "chance"} <= reasons
     assert np.diff(graphs[0].weights.indptr).max() >= 3
     for graph in graphs[1:]:
         assert _same_graph_bits(graph, graphs[0])
+
+
+def test_a_build_at_614_features_fits_batches_of_53_targets(monkeypatch):
+    batches = []
+
+    def spy(gram, epsilon, ids):
+        batches.append(ids.size)
+        return fit_columns(gram, epsilon, ids)
+
+    fit_columns = sfg._fit_columns
+    monkeypatch.setattr(sfg, "_fit_columns", spy)
+    values = np.random.default_rng(5).normal(size=(20, 614))
+    build_sfg(normalize_features(FeatureMatrix(values))[0])
+    assert batches == [53] * 11 + [614 - 53 * 11]
 
 
 def test_in_degrees_match_brute_force():
