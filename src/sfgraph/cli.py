@@ -205,9 +205,7 @@ def cmd_eval_mcfs(args) -> int:
     normalized, _ = normalize_features(features)
     emb, _, _, _ = cluster_scores(normalized, None, args.k, args.seed, args.restarts)
     counts = args.m if args.m else list(range(10, 61, 5))
-    records = mcfs_records(
-        normalized, emb, counts, labels, args.k, args.seed, args.restarts
-    )
+    records = mcfs_records(normalized, emb, counts, labels, args.k, args.seed, args.restarts)
     write_json({"k": args.k, "records": records}, args.out)
     return 0
 

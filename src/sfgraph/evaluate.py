@@ -6,7 +6,8 @@ Laplacian (one restarted-Lanczos solve at every size, from a fixed start
 vector so that reruns agree bit for bit), k-means on the re-normalized
 embedding rows, and agreement scores (normalized mutual information and
 best-match accuracy) against ground-truth labels.  A sparse-regression
-feature scorer (`mcfs_select`) is included as a reference selection method.
+feature scorer (`mcfs_select`) is included as a reference selection method:
+MCFS's scoring over greedy OMP, where the MCFS paper uses least angle regression.
 
 Memory grows as n^2 in one place only: the similarity weights, the
 distances turned into the kernel in place.  The eigensolver applies the
@@ -471,43 +472,54 @@ def acc(labels_a, labels_b) -> float:
 
 
 def mcfs_select(
-    features: FeatureMatrix, embedding: SpectralEmbedding, m: int
-) -> McfsResult:
-    """Score features by sparse regression onto the spectral embedding.
+    features: FeatureMatrix, embedding: SpectralEmbedding, counts
+) -> list[McfsResult]:
+    """Score features by sparse regression onto the spectral embedding and
+    select the top m for each m of ``counts``: one result per count, in the
+    order given.
 
-    Each embedding column is greedily regressed, with at most ``m`` nonzero
+    Each embedding column is greedily regressed, with at most m nonzero
     coefficients, on the unit-norm columns it is given, not renormalized;
     a zero column is never an atom and scores 0.  A feature's score is the
     largest absolute coefficient it earns across the embedding columns, so
     ``scores`` equals the column-wise max of ``|coefficients|`` exactly; the
-    top ``m`` scores win, ties resolved toward the lower feature index.  The
-    regressions share one Gram matrix of the features, formed whole by one
-    product: d^2 n work and d^2 float64 values, 800 MB at d = 10^4; they run
-    as one lockstep batch (``omp._pursue``), whose scratch holds a d-long
-    float64 row per atom of each embedding column: 13 MB for 40 columns of
-    40 atoms at d = 1024, where the Gram matrix takes 8 MB.
+    top m scores win, ties resolved toward the lower feature index.  Only
+    this scoring is MCFS's (Cai, Zhang & He, KDD 2010): its paper fits each
+    eigenvector by least angle regression stopped at m nonzeros, not by
+    greedy OMP capped at m atoms.
+
+    All counts come from one lockstep batch (``omp._pursue``, a cap per
+    distinct count) over one Gram matrix of the features: d^2 n work and
+    d^2 float64 values, 800 MB at d = 10^4, and none for no counts.  Its
+    scratch holds a d-long float64 row per atom of each embedding column:
+    13 MB for 40 columns of 40 atoms at d = 1024.
     """
     d = features.n_features
-    if not 1 <= m <= d:
-        raise ParameterError(f"m must lie in [1, {d}] for {d} features, got {m}")
+    for m in counts:
+        if not 1 <= m <= d:
+            raise ParameterError(f"m must lie in [1, {d}] for {d} features, got {m}")
     y = embedding.vectors
     if y.shape[0] != features.n_samples:
         raise DimensionError(
             f"embedding rows {y.shape[0]} do not match samples {features.n_samples}"
         )
-
-    coefficients = np.zeros((y.shape[1], d))
+    caps = tuple(sorted(set(counts)))
+    if not caps:
+        return []
     gram = GramRows(features.values)
     norms = np.linalg.norm(y, axis=0)
     live = np.flatnonzero(norms != 0.0)
     targets = (y[:, live] / norms[live]).T
     fits = _pursue(
         gram, targets, targets @ features.values, np.tile(gram.zero, (live.size, 1)),
-        MCFS_EPSILON, m, False,
+        MCFS_EPSILON, caps, False,
     )
-    target, atom, coef = fits.entries()
-    coefficients[live[target], atom] = coef
-    scores = np.abs(coefficients).max(axis=0, initial=0.0)
-    order = np.lexsort((np.arange(d), -scores))
-    selected = order[:m].astype(np.intp)
-    return McfsResult(scores, selected, coefficients)
+    results = {}
+    for m, fit in zip(caps, fits):
+        coefficients = np.zeros((y.shape[1], d))
+        target, atom, coef = fit.entries()
+        coefficients[live[target], atom] = coef
+        scores = np.abs(coefficients).max(axis=0, initial=0.0)
+        order = np.lexsort((np.arange(d), -scores))
+        results[m] = McfsResult(scores, order[:m].astype(np.intp), coefficients)
+    return [results[m] for m in counts]

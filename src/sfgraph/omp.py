@@ -31,8 +31,8 @@ fitting the span rather than the target.
 
 Those fits stop after at most half as many atoms as the dictionary has rows,
 ⌊n/2⌋ (at least 1), as a bound.  Neither the cap nor the chance stop is a
-setting; only ``mcfs_select`` passes its own cap, m atoms, and its fits do
-not stop at chance level.
+setting.  ``mcfs_select`` passes caps of its own, one per count m, to one
+pursuit (``_pursue``), and its fits do not stop at chance level.
 
 The pursuit is carried in coefficient space (Batch-OMP in QR form): with
 ``cols[:, support] = Q R`` for an orthonormal Q that is never formed, it
@@ -380,17 +380,21 @@ def _pursue(
     corr: np.ndarray,
     banned: np.ndarray,
     epsilon: float,
-    cap: int,
+    caps: tuple[int, ...],
     chance: bool,
-) -> Fits:
+) -> list[Fits]:
     """Core pursuit over the columns of ``gram.cols``, for the rows of
-    ``targets`` in lockstep.
+    ``targets`` in lockstep: one ``Fits`` per cap of the ascending, distinct
+    ``caps``, with the bits of a pursuit capped there alone.
 
     ``corr[t]`` is ``targets[t] @ gram.cols`` and ``banned[t]`` marks the
     columns target t must never select (the fitted column of a leave-one-out
     fit, zero-norm features); the pursuit overwrites both.  A support holds
-    at most ``cap`` atoms, and never more than its unbanned columns.  With
-    ``chance``, an atom after the first whose gain ``z**2`` is below
+    at most ``caps[-1]`` atoms, and never more than its unbanned columns.
+    A smaller cap's ``Fits`` is a snapshot at the end of the round that
+    reaches it: it shares the fits stopped before and stops every other fit
+    as a pursuit capped there would.  A cap the pursuit never reaches gets
+    the final ``Fits``.  With ``chance``, an atom after the first whose gain ``z**2`` is below
     ``tau * r``, ``tau = 2 ln(a) / n`` for the a columns unbanned at the
     start, ends the fit as ``chance``.
 
@@ -405,13 +409,13 @@ def _pursue(
 
     The scratch (``P``, one row per atom and target) starts at
     ``SCRATCH_ATOMS`` rows when the first target needs one and doubles
-    whenever the supports fill it, up to ``min(cap, n)`` rows: a batch holds
-    memory for the atoms its live targets take, not for their cap.
+    whenever the supports fill it, up to ``min(caps[-1], n)`` rows: a batch
+    holds memory for the atoms its live targets take, not for their cap.
     """
     cols, G = gram.cols, gram.rows
     n, p = cols.shape
     usable = p - banned.sum(axis=1)
-    cap = np.minimum(cap, usable)
+    cap = np.minimum(caps[-1], usable)
     tau = 2.0 * np.log(np.maximum(usable, 1)) / n if chance else np.zeros(usable.size)
     # cols[:, support] = Q R with orthonormal Q, carried without Q itself:
     # P[m] = Q[:, m]^T cols and z = Q^T target.  No more than n atoms can be
@@ -430,31 +434,33 @@ def _pursue(
     )
     live.trace[:, 0] = r
     del targets, corr, banned, r  # the compacted rows are live's
-    parts: list = []
+    parts: list = []  # the stopped fits
+    fits: list[Fits] = []  # the snapshots of the caps reached, but the last
 
-    def stop(at: np.ndarray, k: int, reason, coef=None) -> None:
-        """Record the fits of the live rows ``at``, with k atoms; ``coef``
-        holds their refined coefficients where it is not NaN."""
+    def stop(at: np.ndarray, k: int, reason, coef=None) -> list:
+        """The fits of the live rows ``at`` with k atoms, as zero or one part;
+        ``coef`` holds the round's refined coefficients where it is not NaN."""
         if not at.size:
-            return
+            return []
         trace = live.trace[at, : k + 1]
         if coef is None:
             coef, redo = np.empty((at.size, k)), np.arange(at.size)
         else:
+            coef = coef[at]
             redo = np.flatnonzero(np.isnan(coef[:, 0]))
         if k and redo.size:
             t = at[redo]
             coef[redo], trace[redo, k] = _refined_fits(
                 cols, live.targets[t], live.S[t, :k], live.R[t, :k, :k], live.z[t, :k]
             )
-        parts.append((live.ids[at], live.S[at, :k], coef, trace, reason))
+        return [(live.ids[at], live.S[at, :k], coef, trace, reason)]
 
     k = 0
     while live.ids.size:
         if k == n:
             # n atoms span every column: each atom left is dependent, and
             # skipping them all leaves none usable.
-            stop(np.arange(live.ids.size), k, _NO_ATOM)
+            parts += stop(np.arange(live.ids.size), k, _NO_ATOM)
             break
         if k == live.S.shape[1]:  # R, z, S and trace are full: double them
             more = min(2 * k, size) - k
@@ -489,12 +495,17 @@ def _pursue(
         # An exact fit: |q . a| <= ||q|| for a unit atom a, so no atom can
         # clear the correlation floor.
         ends = held | converged | limit | (live.r <= CORRELATION_FLOOR**2)
-        if ends.any():
+        snapshot = len(fits) < len(caps) - 1 and k == caps[len(fits)]
+        if ends.any() or snapshot:
             at = np.flatnonzero(held)
-            stop(at, k - 1, np.where(empty[at], _NO_ATOM, _CHANCE))
+            parts += stop(at, k - 1, np.where(empty[at], _NO_ATOM, _CHANCE))
+            if snapshot:  # a pursuit capped at k stops every fit here
+                at = np.flatnonzero(~held)
+                reason = np.where(converged[at], _CONVERGED, _SUPPORT_LIMIT)
+                fits.append(Fits.collect(count, parts + stop(at, k, reason, coef)))
             at = np.flatnonzero(ends & ~held)
             reason = np.where(limit[at] & ~converged[at], _SUPPORT_LIMIT, _CONVERGED)
-            stop(at, k, reason, None if coef is None else coef[at])
+            parts += stop(at, k, reason, coef)
             if ends.all():
                 break
             go = np.flatnonzero(~ends)
@@ -510,7 +521,7 @@ def _pursue(
         live.P[:, k - 1] = row
         row *= zk[:, None]
         live.corr -= row
-    return Fits.collect(count, parts)
+    return fits + [Fits.collect(count, parts)] * (len(caps) - len(fits))
 
 
 def _not_unit_norm(norms):
@@ -561,9 +572,9 @@ def omp(dictionary, target, epsilon: float = EPSILON) -> SparseRepresentation:
         )
 
     gram = GramRows(cols)
-    fits = _pursue(
+    (fits,) = _pursue(
         gram, t[None], (t @ cols)[None], gram.zero[None].copy(), epsilon,
-        _support_cap(cols.shape[0]), True,
+        (_support_cap(cols.shape[0]),), True,
     )
     return fits.representation(0)
 

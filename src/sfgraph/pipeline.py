@@ -125,25 +125,31 @@ def mcfs_records(
 ) -> list[dict]:
     """Clustering scores of the MCFS selection of each count of features.
 
-    One record per count; its scores are None when the count exceeds the
-    number of features in ``matrix`` or when the selection fails, and a
-    failure's message is kept under ``error`` (None otherwise), as in the
-    sweep records.
+    One record per count; the selections of every count that fits come from
+    one ``mcfs_select`` call.  A record's scores are None when its count
+    exceeds the number of features in ``matrix`` or when the selection or
+    its clustering fails; ``error`` then says why (None otherwise), as in
+    the sweep records.
     """
-    records = []
-    for m in counts:
-        record = {"input_features": matrix.n_features, "selected": m}
-        record["nmi"] = record["acc"] = record["error"] = None
-        if m <= matrix.n_features:
-            try:
-                chosen = mcfs_select(matrix, embedding, m)
-                picked = matrix.subset(np.sort(chosen.selected))
-                _, _, record["nmi"], record["acc"] = cluster_scores(
-                    picked, labels, k, seed, restarts
-                )
-            except SfgraphError as exc:
-                record["error"] = str(exc)
-        records.append(record)
+    d = matrix.n_features
+    records = [
+        {"input_features": d, "selected": m, "nmi": None, "acc": None,
+         "error": None if m <= d else f"cannot select {m} of {d} features"}
+        for m in counts
+    ]
+    fitting = [rec for rec in records if rec["error"] is None]
+    try:
+        chosen = mcfs_select(matrix, embedding, [rec["selected"] for rec in fitting])
+    except SfgraphError as exc:
+        for rec in fitting:
+            rec["error"] = str(exc)
+        return records
+    for rec, selection in zip(fitting, chosen):
+        try:
+            picked = matrix.subset(np.sort(selection.selected))
+            _, _, rec["nmi"], rec["acc"] = cluster_scores(picked, labels, k, seed, restarts)
+        except SfgraphError as exc:
+            rec["error"] = str(exc)
     return records
 
 
@@ -282,12 +288,10 @@ def run_pipeline(
     }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fmt(value, missing="NA") -> str:
+    """A report value as a CSV cell: ``str`` (a float's shortest round-trip
+    form), or ``missing`` for None."""
+    return missing if value is None else str(value)
 
 
 def write_json(payload: dict, path=None) -> None:
@@ -301,72 +305,46 @@ def write_json(payload: dict, path=None) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_angles_csv(path, bin_edges, counts, overflow) -> None:
     """Write an angle histogram as CSV: a ``bin_left,bin_right,count`` row per
     bin, then ``<last edge>,inf,<overflow>`` for the undefined angles."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(bin_edges[:-1], bin_edges[1:], counts):
-            writer.writerow([repr(float(left)), repr(float(right)), int(count)])
-        writer.writerow([repr(float(bin_edges[-1])), "inf", int(overflow)])
+    edges = [repr(float(edge)) for edge in bin_edges]
+    bins = zip(edges[:-1], edges[1:], (int(count) for count in counts))
+    _write_csv(path, [("bin_left", "bin_right", "count"), *bins, (edges[-1], "inf", int(overflow))])
 
 
 def render_report(report: dict, out_dir) -> list[str]:
     """Write report.json, sweep.csv, angles.csv (and mcfs_grid.csv when the
-    selection grid ran) into ``out_dir``; returns the paths written."""
+    selection grid ran) into ``out_dir``; returns the paths written.
+
+    sweep.csv has a row per scored input, the baseline first; mcfs_grid.csv
+    has a row per metric and count and a column per (theta, input width).
+    """
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-
-    path = os.path.join(out_dir, "report.json")
-    write_json(report, path)
-    written.append(path)
-
-    path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "retained", "nmi", "acc"])
-        base = report["baseline"]
-        writer.writerow(["NA", base["retained"], _fmt(base["nmi"]), _fmt(base["acc"])])
-        for rec in report["sweep"]:
-            writer.writerow(
-                [
-                    _fmt(rec["theta"]),
-                    _fmt(rec["retained"]),
-                    _fmt(rec["nmi"]),
-                    _fmt(rec["acc"]),
-                ]
-            )
-    written.append(path)
-
-    path = os.path.join(out_dir, "angles.csv")
-    write_angles_csv(path, **report["angles"])
-    written.append(path)
-
-    if report["mcfs"]:
-        path = os.path.join(out_dir, "mcfs_grid.csv")
-        columns: list[tuple] = []  # (theta, input_features) in first-seen order
-        cells: dict[tuple, dict] = {}
-        for rec in report["mcfs"]:
-            key = (rec["theta"], rec["input_features"])
-            if key not in columns:
-                columns.append(key)
-            cells[(rec["selected"], key)] = rec
-        counts_m = list(dict.fromkeys(r["selected"] for r in report["mcfs"]))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["metric", "m"] + [
-                f"input_{f}" if t is None else f"theta_{_fmt(t)}_{f}"
-                for t, f in columns
-            ]
-            writer.writerow(header)
-            for metric in ("nmi", "acc"):
-                for m in counts_m:
-                    row = [metric, m]
-                    for key in columns:
-                        rec = cells.get((m, key))
-                        value = rec[metric] if rec is not None else None
-                        row.append("-" if value is None else repr(value))
-                    writer.writerow(row)
-        written.append(path)
-    return written
+    names = ("report.json", "sweep.csv", "angles.csv", "mcfs_grid.csv")
+    paths = [os.path.join(out_dir, name) for name in names]
+    write_json(report, paths[0])
+    columns = ("theta", "retained", "nmi", "acc")
+    rows = [[_fmt(rec[c]) for c in columns] for rec in [report["baseline"], *report["sweep"]]]
+    _write_csv(paths[1], [columns, *rows])
+    write_angles_csv(paths[2], **report["angles"])
+    if not report["mcfs"]:
+        return paths[:3]
+    grid: dict[tuple, dict] = {}  # (theta, input_features) -> {m: record}
+    for rec in report["mcfs"]:
+        grid.setdefault((rec["theta"], rec["input_features"]), {})[rec["selected"]] = rec
+    header = ["metric", "m"] + [
+        f"input_{f}" if t is None else f"theta_{_fmt(t)}_{f}" for t, f in grid
+    ]
+    rows = [
+        [metric, m, *(_fmt(column[m][metric], "-") for column in grid.values())]
+        for metric in ("nmi", "acc")
+        for m in next(iter(grid.values()))
+    ]
+    _write_csv(paths[3], [header, *rows])
+    return paths

@@ -104,7 +104,7 @@ def _fit_columns(gram: GramRows, epsilon: float, ids: np.ndarray):
     banned = np.tile(gram.zero, (ids.size, 1))
     banned[np.arange(ids.size), ids] = True
     cap = _support_cap(gram.cols.shape[0])
-    return _pursue(gram, gram.cols.T[ids], gram.rows[ids], banned, epsilon, cap, True)
+    return _pursue(gram, gram.cols.T[ids], gram.rows[ids], banned, epsilon, (cap,), True)[0]
 
 
 def build_sfg(

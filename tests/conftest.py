@@ -13,8 +13,8 @@ def _capped_fit(cols, target, epsilon, cap, banned=None, chance=False):
     adds the chance stop of ``omp()`` and graph fits."""
     if banned is None:
         banned = np.zeros(cols.shape[1], dtype=bool)
-    fits = _pursue(
-        GramRows(cols), target[None], (target @ cols)[None], banned[None], epsilon, cap, chance
+    (fits,) = _pursue(
+        GramRows(cols), target[None], (target @ cols)[None], banned[None], epsilon, (cap,), chance
     )
     return fits.representation(0)
 

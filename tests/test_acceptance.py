@@ -292,7 +292,7 @@ def test_a07_selection_scores_single_out_informative_features():
         # feature columns on its own
         embedding = spectral_embedding(gaussian_similarity(matrix), 3)
         normalized, _ = normalize_features(matrix)
-        picked = set(mcfs_select(normalized, embedding, 5).selected.tolist())
+        picked = set(mcfs_select(normalized, embedding, [5])[0].selected.tolist())
         wins += len(picked & {0, 1, 2, 3, 4}) >= 4
     assert wins >= 3, f"4+ informative features found on only {wins}/5 seeds"
     print(f"PASS a07: >=4 of 5 informative features selected on {wins}/5 seeds")

@@ -419,8 +419,11 @@ def test_eval_mcfs_uses_default_count_grid(tmp_path):
     counts = [rec["selected"] for rec in payload["records"]]
     assert counts == list(range(10, 61, 5))
     # m = 10 fits the 10-feature dataset; every larger m is a null record
+    # that says why
     assert payload["records"][0]["nmi"] is not None
     assert all(rec["nmi"] is None for rec in payload["records"][1:])
+    for rec in payload["records"][1:]:
+        assert rec["error"] == f"cannot select {rec['selected']} of 10 features"
 
 
 def test_eval_mcfs_explicit_counts(tmp_path):

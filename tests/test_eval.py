@@ -740,7 +740,7 @@ def _informative_fixture(seed):
 
 def test_mcfs_scores_equal_columnwise_coefficient_max():
     normalized, emb, _ = _informative_fixture(seed=0)
-    result = mcfs_select(normalized, emb, 5)
+    (result,) = mcfs_select(normalized, emb, [5])
     assert result.coefficients.shape == (3, normalized.n_features)
     np.testing.assert_array_equal(
         result.scores, np.abs(result.coefficients).max(axis=0)
@@ -749,7 +749,7 @@ def test_mcfs_scores_equal_columnwise_coefficient_max():
 
 def test_mcfs_selection_is_top_m_by_score():
     normalized, emb, _ = _informative_fixture(seed=1)
-    result = mcfs_select(normalized, emb, 6)
+    (result,) = mcfs_select(normalized, emb, [6])
     assert result.selected.shape == (6,)
     picked_scores = result.scores[result.selected]
     assert np.all(np.diff(picked_scores) <= 1e-15)  # best first
@@ -761,7 +761,7 @@ def test_mcfs_selection_is_top_m_by_score():
 def test_mcfs_support_cap_bounds_row_sparsity():
     normalized, emb, _ = _informative_fixture(seed=2)
     for m in (1, 2, 4):
-        result = mcfs_select(normalized, emb, m)
+        (result,) = mcfs_select(normalized, emb, [m])
         nonzero_per_row = (result.coefficients != 0.0).sum(axis=1)
         assert np.all(nonzero_per_row <= m)
 
@@ -770,7 +770,7 @@ def test_mcfs_finds_the_informative_features():
     hits = 0
     for seed in range(3):
         normalized, emb, _ = _informative_fixture(seed=seed)
-        result = mcfs_select(normalized, emb, 4)
+        (result,) = mcfs_select(normalized, emb, [4])
         informative = set(range(4))  # base features carry the cluster signal
         if len(informative & set(result.selected.tolist())) >= 3:
             hits += 1
@@ -779,18 +779,47 @@ def test_mcfs_finds_the_informative_features():
 
 def test_mcfs_is_deterministic():
     normalized, emb, _ = _informative_fixture(seed=3)
-    a = mcfs_select(normalized, emb, 5)
-    b = mcfs_select(normalized, emb, 5)
+    (a,) = mcfs_select(normalized, emb, [5])
+    (b,) = mcfs_select(normalized, emb, [5])
     np.testing.assert_array_equal(a.scores, b.scores)
     np.testing.assert_array_equal(a.selected, b.selected)
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
+
+
+def test_mcfs_counts_in_any_order_match_single_count_calls():
+    # One pursuit serves every count: each result has the bits of a call
+    # with that count alone, in the order the counts are given.
+    spec = SynthSpec(
+        n_samples=90, base_features=6, clusters=3, separation=8.0,
+        duplicate_pairs=10, mixture_features=10, noise_features=30, seed=7,
+    )
+    normalized, _ = normalize_features(generate(spec)[0])
+    emb = spectral_embedding(gaussian_similarity(normalized), 3)
+    counts = [40, 10, 20, 10]
+    together = mcfs_select(normalized, emb, counts)
+    assert len(together) == len(counts)
+    for m, result in zip(counts, together):
+        (alone,) = mcfs_select(normalized, emb, [m])
+        assert result.selected.size == m
+        for name in ("scores", "selected", "coefficients"):
+            np.testing.assert_array_equal(getattr(result, name), getattr(alone, name), name)
+
+
+def test_mcfs_without_counts_forms_no_gram_matrix(monkeypatch):
+    normalized, emb, _ = _informative_fixture(seed=0)
+
+    def refuse(cols):
+        raise AssertionError("a Gram matrix was formed")
+
+    monkeypatch.setattr(evaluate, "GramRows", refuse)
+    assert mcfs_select(normalized, emb, []) == []
 
 
 def test_mcfs_validates_inputs():
     normalized, emb, _ = _informative_fixture(seed=4)
     for bad in (0, normalized.n_features + 1):
         with pytest.raises(ParameterError):
-            mcfs_select(normalized, emb, bad)
+            mcfs_select(normalized, emb, [bad])
     short = FeatureMatrix(np.eye(5))
     with pytest.raises(DimensionError):
-        mcfs_select(short, emb, 2)
+        mcfs_select(short, emb, [2])

@@ -398,7 +398,7 @@ def test_normalize_features_columns_whose_squares_underflow(scale):
         assert out[:, col].tobytes() == expected.tobytes()
     assert 0 not in build_sfg(normalized).failed_nodes
     emb = SpectralEmbedding(out[:, [1, 2]], np.zeros(2))
-    assert mcfs_select(normalized, emb, 2).selected.size == 2
+    assert mcfs_select(normalized, emb, [2])[0].selected.size == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -291,7 +291,7 @@ def test_a_dependent_atom_is_retried_in_the_same_round_of_a_lockstep_batch():
     targets = np.vstack([others[0], skip, others[1:]])
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
     banned = np.zeros((4, cols.shape[1]), dtype=bool)
-    fits = _pursue(GramRows(cols), targets, targets @ cols, banned, 1e-12, 5, False)
+    (fits,) = _pursue(GramRows(cols), targets, targets @ cols, banned, 1e-12, (5,), False)
     for t, target in enumerate(targets):
         want = _cholesky_greedy_fit(cols, target, 1e-12, cols.shape[1])
         _assert_same_fit(fits.representation(t), want, f"target {t}")
@@ -435,7 +435,7 @@ def _solver_entry_points():
             and graph.weights[:, j].nnz == 0,
         ),
         "mcfs_select": (
-            lambda cols: mcfs_select(FeatureMatrix(cols), embedding, 2),
+            lambda cols: mcfs_select(FeatureMatrix(cols), embedding, [2])[0],
             lambda sel, j: sel.scores[j] == 0.0 and not sel.coefficients[:, j].any(),
         ),
     }
@@ -724,3 +724,51 @@ def test_twins_resolve_alike_in_the_graph_omp_and_the_oracle():
             assert support == [twins[i]] and reason == STOP_CONVERGED, where
             assert abs(abs(coef[0]) - 1.0) <= 1e-12, where
 
+
+
+def _capped_batch(cols, targets, banned, epsilon, caps, chance):
+    """``_pursue`` of ``targets`` over ``cols``, on fresh copies of its
+    overwritten inputs."""
+    return _pursue(
+        GramRows(cols), targets, targets @ cols, banned.copy(), epsilon, caps, chance
+    )
+
+
+@pytest.mark.parametrize("chance", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_cap_of_one_pursuit_is_a_pursuit_capped_there(seed, chance):
+    # Columns 0-3 are orthonormal, and the others lie mostly outside their
+    # span.  Column 5 is column 2 negated, a twin; column 7 is zero.  Target
+    # 0 is an exact combination of columns 0, 1 and 3, whose fit takes the
+    # explicit residual and ends exactly at the cap of 3 (a pursuit capped
+    # there calls it support_limit, an uncapped one converged); target 1 is
+    # column 2, which the twin rule must pick over column 5.  Of the caps, 8
+    # is n, 11 every usable atom and 20 more than both: a pursuit never
+    # reaches the last two, so they share its final fits.
+    rng = np.random.default_rng(seed)
+    n, p = 8, 12
+    q = _orthonormal_dictionary(n, n, seed)
+    cols = np.column_stack(
+        [q[:, :4], q[:, 4:] @ rng.normal(size=(4, 8)) + 0.1 * q[:, :4] @ rng.normal(size=(4, 8))]
+    )
+    cols /= np.linalg.norm(cols, axis=0)
+    cols[:, 5] = -cols[:, 2]
+    cols[:, 7] = 0.0
+    exact = cols[:, [0, 1, 3]] @ np.array([0.9, -0.6, 0.4])
+    targets = np.vstack([exact, cols[:, 2], rng.normal(size=(6, n))])
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    banned = np.tile(~cols.any(axis=0), (targets.shape[0], 1))
+    caps = (1, 3, 5, 8, 11, 20)
+    together = _capped_batch(cols, targets, banned, 1e-12, caps, chance)
+    assert len(together) == len(caps)
+    for cap, fits in zip(caps, together):
+        (alone,) = _capped_batch(cols, targets, banned, 1e-12, (cap,), chance)
+        for name in ("support", "coefficients", "trace", "size", "reason"):
+            np.testing.assert_array_equal(
+                getattr(fits, name), getattr(alone, name), err_msg=f"cap {cap}: {name}"
+            )
+    assert together[1].representation(0).support.tolist() == [0, 1, 3]
+    assert together[1].representation(0).stop_reason == STOP_SUPPORT_LIMIT
+    assert together[-1].representation(0).stop_reason == STOP_CONVERGED
+    assert together[0].representation(1).support.tolist() == [2]
+    assert together[-1] is together[-2]

@@ -274,13 +274,14 @@ def test_mcfs_grid_runs_on_baseline_and_reduced_inputs():
 
 def test_mcfs_grid_selects_once_per_distinct_kept_set(monkeypatch):
     # The second theta keeps the first one's features, so its grid records
-    # are the first one's under its own theta, with no selection run again.
+    # are the first one's under its own theta, with no selection run again;
+    # and each input's counts are selected by one call.
     matrix, labels, _ = _synth_dataset(seed=5)
     calls = []
 
-    def counted_select(features, embedding, m):
-        calls.append((features.n_features, m))
-        return mcfs_select(features, embedding, m)
+    def counted_select(features, embedding, counts):
+        calls.append((features.n_features, counts))
+        return mcfs_select(features, embedding, counts)
 
     mcfs_select = pipeline.mcfs_select
     monkeypatch.setattr(pipeline, "mcfs_select", counted_select)
@@ -288,7 +289,7 @@ def test_mcfs_grid_selects_once_per_distinct_kept_set(monkeypatch):
     report = run_pipeline(matrix, labels, config)
     kept = report["sweep"][0]["retained"]
     assert kept == report["sweep"][1]["retained"] < matrix.n_features
-    assert calls == [(matrix.n_features, 2), (matrix.n_features, 4), (kept, 2), (kept, 4)]
+    assert calls == [(matrix.n_features, [2, 4]), (kept, [2, 4])]
     grid = report["mcfs"]
     assert [rec["theta"] for rec in grid] == [None, None, 0.5, 0.5, 0.5, 0.5]
     assert grid[2:4] == grid[4:6]
@@ -368,9 +369,12 @@ def test_a_clustering_pass_holds_one_n_by_n_array():
 
 def test_oversized_selection_count_is_a_null_cell():
     matrix, labels, _ = _synth_dataset(seed=6)
-    config = _config(thetas=(0.9,), mcfs_counts=(matrix.n_features + 5,))
+    m = matrix.n_features + 5
+    config = _config(thetas=(0.9,), mcfs_counts=(m,))
     report = run_pipeline(matrix, labels, config)
     assert all(rec["nmi"] is None for rec in report["mcfs"])
+    for rec in report["mcfs"]:
+        assert rec["error"] == f"cannot select {m} of {rec['input_features']} features"
 
 
 def test_pipeline_is_deterministic_ignoring_timings():
